@@ -21,9 +21,9 @@ print("rank drops at:")
 for theta, rank in profile.drop_points:
     print(f"  theta = {theta:.6f} -> rank {rank}")
 
-# Rank-drop directions are isolated zeros of the relevant singular value;
-# the scan refines each dip by golden-section search, so drops planted at
-# arbitrary angles are found too.
+# Rank-drop directions are the real eigenvalues of the pencil compressed to
+# its generic rank, so drops planted at arbitrary angles are found to rounding
+# error.
 rng = np.random.default_rng(1)
 t0 = 0.7123456789
 n = 6

@@ -23,9 +23,6 @@ ZERO_TOL = 1e-9
 TRANS_REL = 1e-6
 BRACKET_REL = 1e-6
 
-# A scan value below DIP_FACTOR * rank tolerance marks a rank-drop candidate.
-DIP_FACTOR = 1e3
-
 
 def sym_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)

@@ -28,7 +28,7 @@ from .checker import (
     step_reduction,
     two_step_verdict,
 )
-from .dissipativity import CertificateStatus, is_non_dissipative, trace_certificate
+from .dissipativity import CertificateStatus, trace_certificate
 from .errors import (
     ConsistencyError,
     DegeneratePairingError,
@@ -163,7 +163,13 @@ def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
         for j, entry in enumerate(row):
             if isinstance(entry, bool) or not isinstance(entry, (int, float)):
                 raise InputError(f"{path}[{i}][{j}]: expected a number, got {entry!r}")
-            out[i, j] = float(entry)
+            try:
+                out[i, j] = float(entry)
+            except OverflowError:
+                out[i, j] = math.inf
+    if not np.all(np.isfinite(out)):
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise InputError(f"{path}[{i}][{j}]: expected a finite number, got {value[i][j]!r}")
     return out
 
 
@@ -390,8 +396,8 @@ def _cmd_bracket(args, payload, warnings):
 
 def _cmd_dissipativity(args, payload, warnings):
     _, a, b, _, _ = _load_forms(payload, warnings)
-    verdict = is_non_dissipative(a, b)
     outcome = trace_certificate(a, b)
+    verdict = outcome.verdict
     result = {
         "verdict": verdict.kind.value,
         "theta": verdict.theta,

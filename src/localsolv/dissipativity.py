@@ -108,6 +108,8 @@ class CertificateOutcome:
     certificate: TraceCertificate | None = None
     dissipative_theta: float | None = None
     iterations: int = 0
+    # The dissipativity decision taken before the search (pairs only).
+    verdict: DissipativityVerdict | None = None
 
     @property
     def found(self) -> bool:
@@ -254,24 +256,25 @@ def trace_certificate(
     the affine set {tr(P F) = 0 for all F, tr P = 1}, then takes Q as the
     square root of the limit after a strict-interior push.  For a pair the
     dissipative case is detected up front and reported as infeasible together
-    with the offending direction; spans of more than two forms skip that
-    pre-check and can only end in a certificate or an inconclusive report.
+    with the offending direction, and every pair outcome carries that decision
+    as `verdict`; spans of more than two forms skip that pre-check and can
+    only end in a certificate or an inconclusive report.
     """
     constraint_forms = [a, b, *more]
     dims = {f.dim for f in constraint_forms}
     if len(dims) > 1:
         raise ValueError("forms have mismatched dimensions")
-    n = a.dim
-    tol = CERT_REL * sum(f.frobenius() for f in constraint_forms)
-    if tol == 0.0:
-        raise ValueError("all forms vanish; the certificate problem is undefined")
-
+    verdict = None
     if len(constraint_forms) == 2:
         verdict = is_non_dissipative(a, b)
         if not verdict.non_dissipative:
             return CertificateOutcome(
-                CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta
+                CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, verdict=verdict
             )
+    n = a.dim
+    tol = CERT_REL * sum(f.frobenius() for f in constraint_forms)
+    if tol == 0.0:
+        raise ValueError("all forms vanish; the certificate problem is undefined")
 
     mats = [f.matrix for f in constraint_forms] + [np.eye(n)]
     targets = np.array([0.0] * len(constraint_forms) + [1.0])
@@ -293,7 +296,7 @@ def trace_certificate(
             break
     if not converged:
         return CertificateOutcome(
-            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=iterations
+            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=iterations, verdict=verdict
         )
 
     # Strict-interior push keeps both trace residuals within tolerance while
@@ -309,10 +312,12 @@ def trace_certificate(
     worst = max(abs(float(np.tensordot(p, f.matrix))) for f in constraint_forms)
     if worst > tol or w[0] <= 0.0:
         return CertificateOutcome(
-            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=iterations
+            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=iterations, verdict=verdict
         )
     certificate = TraceCertificate(q, residual_a, residual_b, float(np.sqrt(w[0])))
-    return CertificateOutcome(CertificateStatus.FOUND, certificate, iterations=iterations)
+    return CertificateOutcome(
+        CertificateStatus.FOUND, certificate, iterations=iterations, verdict=verdict
+    )
 
 
 def trace_normalize(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import (
+    RANK_REL,
     frob,
     numerical_rank,
     nullspace,
@@ -293,7 +294,9 @@ def is_symplectic_subspace(
 
     The empty subspace counts as symplectic (trivial-radical branch); the
     certificate carries the smallest singular value of the restricted Gram
-    matrix.
+    matrix.  The rank cut is relative to the pairing's scale ||J||_2, not to
+    the Gram matrix itself: the Gram matrix of an isotropic subspace is
+    rounding error, and a cut relative to that would call it full rank.
     """
     if subspace.ambient_dim != structure.two_d:
         raise ValueError(
@@ -305,8 +308,8 @@ def is_symplectic_subspace(
         return SymplecticityCertificate(True, float("inf"), 0)
     gram = subspace.basis.T @ structure.J @ subspace.basis
     s = np.linalg.svd(gram, compute_uv=False)
-    full = numerical_rank(gram) == k
-    return SymplecticityCertificate(full, float(s[-1]), k)
+    cut = RANK_REL * float(np.linalg.norm(structure.J, 2)) * k
+    return SymplecticityCertificate(bool(s[-1] > cut), float(s[-1]), k)
 
 
 def congruence(form: SymmetricForm, t: np.ndarray) -> SymmetricForm:

@@ -1,10 +1,19 @@
 """Rank analysis over the two-parameter pencil spanned by a pair of forms.
 
 maxrank is the generic rank over the span, minrank the smallest rank of a
-nonzero element.  Rank drops of a symmetric two-form pencil happen at
-finitely many directions (zeros of minor polynomials), so they are located
-by a dense angular scan of the maxrank-th singular value followed by
-golden-section refinement of every candidate dip.
+nonzero element M(theta) = cos(theta) A + sin(theta) B.  Nine seeded probes
+give maxrank r and a generic angle theta_g.  For a generic orthonormal n x r
+matrix U, det(U^T M(theta) U) vanishes at every angle where M loses rank
+(rank completion, Hochstenbach-Mehl-Plestenjak, SIMAX 2019).  So with
+G = U^T M(theta_g) U and H = U^T M(theta_g + pi/2) U, every drop sits at
+theta_g + phi (and that angle + pi, since M(theta + pi) = -M(theta)) with
+tan(phi) = -1/lambda for a real eigenvalue lambda of G^-1 H.
+
+One SVD confirms each candidate and gives the rank there.  Singular
+Kronecker blocks of the pencil (Van Dooren 1979) add spurious candidates,
+which that check discards.  A candidate that fails it is refined by a
+golden-section search of the r-th singular value around it, so a drop whose
+eigenvalue is defective or ill-conditioned is not lost.
 """
 
 from __future__ import annotations
@@ -15,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import (
-    DIP_FACTOR,
     RANK_REL,
     frob,
     golden_section_minimize,
-    numerical_rank,
     rank_tolerance,
     rng_for,
 )
@@ -35,8 +42,15 @@ __all__ = [
     "nearby_basis",
 ]
 
-_SCAN_POINTS = 512
-_REFINE_ITERATIONS = 80
+# Loose cut on |Im phi| for a compressed eigenvalue to give a candidate: a
+# drop of multiplicity k whose eigenvalue is defective splits into a cluster
+# of width about eps**(1/k), well inside it.  The fallback search brackets a
+# candidate by the same width.
+_IMAG_CUT = 1e-3
+# Candidate angles closer than this (modulo pi) belong to one drop.
+_MERGE_GAP = 1e-6
+# Golden-section steps of the fallback: the bracket shrinks by 0.618**60.
+_FALLBACK_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -56,114 +70,121 @@ class PencilReport:
 
 
 def pencil_element(a: SymmetricForm, b: SymmetricForm, theta: float) -> SymmetricForm:
-    return SymmetricForm(math.cos(theta) * a.matrix + math.sin(theta) * b.matrix)
+    return SymmetricForm(_element(a, b, theta))
+
+
+def _element(a: SymmetricForm, b: SymmetricForm, theta: float) -> np.ndarray:
+    return math.cos(theta) * a.matrix + math.sin(theta) * b.matrix
+
+
+def _spectrum(a: SymmetricForm, b: SymmetricForm, theta: float) -> np.ndarray:
+    """Singular values of the element at theta; raises if it vanishes."""
+    m = _element(a, b, theta)
+    if frob(m) <= RANK_REL * a.dim * max(a.frobenius() + b.frobenius(), 1e-300):
+        raise ZeroElementError(f"pencil element at theta={theta} vanishes")
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _rank(s: np.ndarray) -> int:
+    return int(np.count_nonzero(s > rank_tolerance(s, (len(s), len(s)))))
+
+
+def _marginal(s: np.ndarray, rank: int) -> bool:
+    """The smallest kept singular value lies within 10x of the rank cut."""
+    cut = rank_tolerance(s, (len(s), len(s)))
+    return rank > 0 and cut < s[rank - 1] <= 10.0 * cut
 
 
 def rank_at(a: SymmetricForm, b: SymmetricForm, theta: float, tol: float | None = None) -> int:
     """Numerical rank of cos(theta) A + sin(theta) B."""
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
-    m = math.cos(theta) * a.matrix + math.sin(theta) * b.matrix
-    scale = a.frobenius() + b.frobenius()
-    if frob(m) <= RANK_REL * a.dim * max(scale, 1e-300):
-        raise ZeroElementError(f"pencil element at theta={theta} vanishes")
-    return numerical_rank(m, tol)
+    s = _spectrum(a, b, theta)
+    return _rank(s) if tol is None else int(np.count_nonzero(s > tol))
 
 
-def _sigma_r(a, b, theta: float, r: int) -> tuple[float, float]:
-    """(r-th singular value, its rank tolerance) of the combination."""
-    m = math.cos(theta) * a.matrix + math.sin(theta) * b.matrix
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[r - 1]), rank_tolerance(s, m.shape)
-
-
-def _circular_gap(x: float, y: float) -> float:
-    gap = abs(x - y) % (2.0 * math.pi)
-    return min(gap, 2.0 * math.pi - gap)
-
-
-def rank_profile(
-    a: SymmetricForm,
-    b: SymmetricForm,
-    scan_points: int = _SCAN_POINTS,
-    seed: int = 42,
-) -> PencilReport:
-    """Generic rank, minimal nonzero rank and rank-drop directions.
+def _probe(
+    a: SymmetricForm, b: SymmetricForm, seed: int
+) -> tuple[int, float, np.ndarray, list[str]]:
+    """(maxrank, generic angle, its singular values, notes) from nine probes.
 
     The generic rank is read at a random direction and confirmed on eight
-    more; drops are the refined dips of the maxrank-th singular value.  The
-    dip threshold is forgiving (any scan value below ~6% of the pencil scale
-    is refined) because an exact zero can sit between grid nodes; a refined
-    candidate only counts once the singular value falls below the rank cut.
+    more; the generic angle is the first probe that reaches it.
     """
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
     if span_rank(a, b) < 2:
         raise DependentPairError("forms are linearly dependent")
-    rng = rng_for(seed, 0x9EC1)
-    notes: list[str] = []
-    marginal: list[float] = []
-
-    probe_thetas = rng.uniform(0.0, 2.0 * math.pi, size=9)
-    probe_ranks = [rank_at(a, b, float(t)) for t in probe_thetas]
-    maxrank = max(probe_ranks)
-    if min(probe_ranks) != maxrank:
+    thetas = rng_for(seed, 0x9EC1).uniform(0.0, 2.0 * math.pi, size=9)
+    spectra = [_spectrum(a, b, float(t)) for t in thetas]
+    ranks = [_rank(s) for s in spectra]
+    best = int(np.argmax(ranks))
+    notes = []
+    if min(ranks) != ranks[best]:
         notes.append("generic rank probes disagreed; keeping the largest")
-    generic_theta = float(probe_thetas[int(np.argmax(probe_ranks))])
-    sigma_g, tol_g = _sigma_r(a, b, generic_theta, maxrank)
-    if tol_g < sigma_g <= 10.0 * tol_g:
-        marginal.append(generic_theta)
+    return ranks[best], float(thetas[best]), spectra[best], notes
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, scan_points, endpoint=False)
-    sigma = np.empty(scan_points)
-    cuts = np.empty(scan_points)
-    for i, t in enumerate(thetas):
-        sigma[i], cuts[i] = _sigma_r(a, b, float(t), maxrank)
 
-    # A singular value of the combination moves at most ||A|| + ||B|| per
-    # radian, so any exact zero leaves a neighbouring grid value below
-    # step/2 * (||A|| + ||B||); the filter below keeps a 10x margin on that.
-    step = 2.0 * math.pi / scan_points
-    scale = a.frobenius() + b.frobenius()
-    dip_filter = max(5.0 * step * scale, DIP_FACTOR * float(np.max(cuts)))
+def _candidate_clusters(
+    a: SymmetricForm, b: SymmetricForm, theta_g: float, r: int, seed: int
+) -> list[float]:
+    """Candidate drop angles modulo pi, one per cluster of nearby eigenvalues."""
+    u, _ = np.linalg.qr(rng_for(seed, 0xC0E5).standard_normal((a.dim, r)))
+    g = u.T @ _element(a, b, theta_g) @ u
+    h = u.T @ _element(a, b, theta_g + 0.5 * math.pi) @ u
+    lam = np.linalg.eigvals(np.linalg.solve(g, h)).astype(complex)
+    # tan(phi) = -1/lambda, written so that lambda = 0 gives phi = pi/2.
+    phi = 0.5 * math.pi + np.arctan(lam)
+    psi = np.sort(np.mod(theta_g + phi.real[np.abs(phi.imag) <= _IMAG_CUT], math.pi))
+    groups: list[list[float]] = []
+    for x in psi:
+        if groups and x - groups[-1][-1] < _MERGE_GAP:
+            groups[-1].append(float(x))
+        else:
+            groups.append([float(x)])
+    if len(groups) > 1 and groups[0][0] + math.pi - groups[-1][-1] < _MERGE_GAP:
+        groups[0] = [x - math.pi for x in groups.pop()] + groups[0]
+    return [float(np.mean(group)) % math.pi for group in groups]
 
-    candidates = set()
-    for i in range(scan_points):
-        if sigma[i] > dip_filter:
-            continue
-        left = sigma[(i - 1) % scan_points]
-        right = sigma[(i + 1) % scan_points]
-        if sigma[i] <= left and sigma[i] <= right:
-            candidates.add(i)
-        if sigma[i] < DIP_FACTOR * cuts[i]:
-            candidates.add(i)
 
+def _gap_mod_pi(x: float, y: float) -> float:
+    gap = abs(x - y) % math.pi
+    return min(gap, math.pi - gap)
+
+
+def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilReport:
+    """Generic rank, minimal nonzero rank and rank-drop directions.
+
+    Drops are the candidate angles of the compressed pencil whose element
+    has rank below maxrank, each reported with its half-turn image.
+    """
+    maxrank, generic_theta, spectrum, notes = _probe(a, b, seed)
+    marginal = [generic_theta] if _marginal(spectrum, maxrank) else []
+    marginal_drops: list[float] = []
     drops: list[tuple[float, int]] = []
-    seen: list[float] = []
-    for i in sorted(candidates):
-        lo = float(thetas[i]) - step
-        hi = float(thetas[i]) + step
-        theta_star, sigma_star = golden_section_minimize(
-            lambda t: _sigma_r(a, b, t, maxrank)[0], lo, hi, _REFINE_ITERATIONS
-        )
-        theta_star %= 2.0 * math.pi
-        if 2.0 * math.pi - theta_star < 1e-8:
-            theta_star = 0.0
-        _, cut_star = _sigma_r(a, b, theta_star, maxrank)
-        if sigma_star >= DIP_FACTOR * cut_star:
+    found: list[float] = []
+    for psi in _candidate_clusters(a, b, generic_theta, maxrank, seed):
+        s = _spectrum(a, b, psi)
+        if _rank(s) >= maxrank:
+            psi, _ = golden_section_minimize(
+                lambda t: _spectrum(a, b, t)[maxrank - 1],
+                psi - _IMAG_CUT,
+                psi + _IMAG_CUT,
+                _FALLBACK_STEPS,
+            )
+            s = _spectrum(a, b, psi)
+        rank = _rank(s)
+        if rank >= maxrank:
             continue
-        if any(_circular_gap(theta_star, t) < 1e-6 for t in seen):
+        psi %= math.pi
+        if math.pi - psi < 1e-8:
+            psi = 0.0
+        if any(_gap_mod_pi(psi, seen) < _MERGE_GAP for seen in found):
             continue
-        seen.append(theta_star)
-        try:
-            rank_star = rank_at(a, b, theta_star)
-        except ZeroElementError:
-            continue
-        if rank_star < maxrank:
-            drops.append((theta_star, rank_star))
-            s_at, cut_at = _sigma_r(a, b, theta_star, rank_star) if rank_star else (0.0, 0.0)
-            if rank_star and cut_at < s_at <= 10.0 * cut_at:
-                marginal.append(theta_star)
+        found.append(psi)
+        drops.extend([(psi, rank), (psi + math.pi, rank)])
+        if _marginal(s, rank):
+            marginal_drops.extend([psi, psi + math.pi])
 
     drops.sort()
     minrank = min([rank for _, rank in drops], default=maxrank)
@@ -172,7 +193,7 @@ def rank_profile(
         minrank=minrank,
         drop_points=tuple(drops),
         generic_theta=generic_theta,
-        marginal=tuple(marginal),
+        marginal=tuple(marginal + sorted(marginal_drops)),
         notes=tuple(notes),
     )
 
@@ -181,9 +202,8 @@ def max_rank_element(
     a: SymmetricForm, b: SymmetricForm, seed: int = 42
 ) -> tuple[float, SymmetricForm]:
     """A Frobenius-normalized pencil element of generic (maximal) rank."""
-    report = rank_profile(a, b, seed=seed)
-    element = pencil_element(a, b, report.generic_theta).normalized()
-    return report.generic_theta, element
+    _, theta, _, _ = _probe(a, b, seed)
+    return theta, pencil_element(a, b, theta).normalized()
 
 
 def nearby_basis(

@@ -7,6 +7,7 @@ from localsolv import (
     Branch,
     HeisenbergOperatorSpec,
     PointSymbolSpec,
+    RadicalStatus,
     StructureConstants,
     SymmetricForm,
     SymplecticStructure,
@@ -307,3 +308,25 @@ def test_outcome_invariant_under_phase_rotation(rng):
         rotated = heisenberg_verdict(HeisenbergOperatorSpec(d, a2, b2))
         assert rotated.outcome is base.outcome
         assert rotated.condition_c is base.condition_c
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_heisenberg_one_dimensional_radical_is_degenerate(seed):
+    # minrank 2, maxrank 9 and one zero radius at n = 10: the joint radical is
+    # a line, which no pairing makes symplectic, so branch II cannot hold.
+    rng = np.random.default_rng([seed, 0x51])
+    phi = np.array([0.0] * 7 + [2 * np.pi / 3, 4 * np.pi / 3, 0.0])
+    r = np.array([1.0] * 9 + [0.0])
+    while True:
+        p = rng.standard_normal((10, 10))
+        s = np.linalg.svd(p, compute_uv=False)
+        if s[-1] > s[0] / 10.0:
+            break
+    a = SymmetricForm(p.T @ np.diag(r * np.cos(phi)) @ p)
+    b = SymmetricForm(p.T @ np.diag(r * np.sin(phi)) @ p)
+    verdict = heisenberg_verdict(HeisenbergOperatorSpec(5, a, b))
+    hyp = verdict.hypothesis
+    assert (hyp.minrank, hyp.maxrank, hyp.radical_dim) == (2, 9, 1)
+    assert hyp.radical_status is RadicalStatus.DEGENERATE
+    assert verdict.condition_c is Branch.NONE
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE

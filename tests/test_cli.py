@@ -240,6 +240,28 @@ def test_input_error_non_numeric_entry(capsys, tmp_path):
     assert "A[0][1]" in err
 
 
+@pytest.mark.parametrize(
+    "literal, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")]
+)
+def test_input_error_non_finite_entry(capsys, tmp_path, literal, shown):
+    # json accepts these literals; the loader must reject them and name the entry
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"n": 2, "A": [[1, 0], [0, -1]], "B": [[0, {literal}], [1, 0]]}}')
+    for command in ("pencil", "dissipativity"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: B[0][1]: expected a finite number, got {shown}\n"
+
+
+def test_input_error_overflowing_integer_entry(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 2, "A_re": [[1, 0], [0, 1' + "0" * 400 + ']], "A_im": [[0, 1], [1, 0]], "d": 1}')
+    code, out, err = run_cli(capsys, "check-heisenberg", str(path))
+    assert code == 2
+    assert err.startswith("input error: A_re[1][1]: expected a finite number")
+
+
 def test_dependent_pair_is_input_error(capsys, tmp_path):
     path = tmp_path / "dep.json"
     payload = {"n": 2, "A": [[1, 0], [0, -1]], "B": [[2, 0], [0, -2]]}

@@ -292,6 +292,18 @@ def test_symplectic_subspace_isotropic_line():
     assert cert.gram_min_singular == pytest.approx(0.0, abs=1e-15)
 
 
+def test_symplectic_subspace_random_line_is_not_symplectic():
+    # b^T J b is rounding error for a generic b: the cut must not scale with it
+    rng = np.random.default_rng(7)
+    for n in (4, 10, 40):
+        s = SymplecticStructure.canonical(n)
+        for _ in range(20):
+            v = rng.standard_normal((n, 1))
+            cert = is_symplectic_subspace(Subspace(n, v / np.linalg.norm(v)), s)
+            assert not cert.symplectic
+            assert cert.subspace_dim == 1
+
+
 def test_symplectic_subspace_empty_is_trivially_true():
     s = SymplecticStructure.canonical(4)
     cert = is_symplectic_subspace(Subspace.empty(4), s)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from localsolv import (
+    Branch,
+    HeisenbergOperatorSpec,
+    RadicalStatus,
     SymmetricForm,
+    VerdictOutcome,
+    heisenberg_verdict,
     is_non_dissipative,
     max_rank_element,
     nearby_basis,
@@ -13,8 +18,103 @@ from localsolv import (
     rank_profile,
     span_rank,
 )
+from localsolv import pencil
+from localsolv._numeric import golden_section_minimize, rank_tolerance
 from localsolv.errors import DependentPairError, ZeroElementError
+from localsolv.fixtures import all_fixtures
 from conftest import congruent_pair, rank2_hyperbolic, traceless_pair
+
+
+def scan_drops(a, b, points=512):
+    """Oracle: rank drops from a dense scan of the maxrank-th singular value.
+
+    Every local minimum of the scan below a forgiving filter is refined by
+    golden-section search; a refined angle is a drop when the element there
+    has rank below the largest rank seen on the grid.  Returns (maxrank,
+    sorted [(theta, rank)]).
+    """
+    n = a.dim
+
+    def spectrum(theta):
+        return np.linalg.svd(np.cos(theta) * a.matrix + np.sin(theta) * b.matrix, compute_uv=False)
+
+    def rank(s):
+        return int(np.count_nonzero(s > rank_tolerance(s, (n, n))))
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    spectra = [spectrum(t) for t in thetas]
+    maxrank = max(rank(s) for s in spectra)
+    sigma = np.array([s[maxrank - 1] for s in spectra])
+    step = 2.0 * np.pi / points
+    dip_filter = 5.0 * step * (a.frobenius() + b.frobenius())
+    drops = []
+    for i in range(points):
+        if sigma[i] > dip_filter or sigma[i] > min(sigma[i - 1], sigma[(i + 1) % points]):
+            continue
+        theta, _ = golden_section_minimize(
+            lambda t: spectrum(t)[maxrank - 1], thetas[i] - step, thetas[i] + step, 80
+        )
+        theta %= 2.0 * np.pi
+        r = rank(spectrum(theta))
+        if r < maxrank and all(circular_gap(theta, t) > 1e-6 for t, _ in drops):
+            drops.append((theta, r))
+    return maxrank, sorted(drops)
+
+
+def circular_gap(x, y):
+    gap = abs(x - y) % (2.0 * np.pi)
+    return min(gap, 2.0 * np.pi - gap)
+
+
+def assert_same_drops(found, expected, atol=1e-6):
+    """Each expected (theta, rank) is matched by exactly one found drop."""
+    assert len(found) == len(expected), (found, expected)
+    for theta, rank in expected:
+        hits = [r for t, r in found if circular_gap(t, theta) < atol]
+        assert hits == [rank], (theta, rank, found)
+
+
+def planted(phi, radii, p):
+    """A = P^T diag(r cos phi) P, B = P^T diag(r sin phi) P."""
+    phi, radii = np.asarray(phi, dtype=float), np.asarray(radii, dtype=float)
+    a = p.T @ np.diag(radii * np.cos(phi)) @ p
+    b = p.T @ np.diag(radii * np.sin(phi)) @ p
+    return SymmetricForm(a), SymmetricForm(b)
+
+
+def planted_drops(phi, radii):
+    """The drops of a planted pencil: each angle class modulo pi, plus pi/2
+    and 3 pi/2, with rank maxrank minus the class size."""
+    live = np.mod(np.asarray(phi, dtype=float)[np.asarray(radii) != 0.0], np.pi)
+    classes = []
+    for psi in live:
+        for entry in classes:
+            if circular_gap(2 * psi, 2 * entry[0]) < 1e-9:
+                entry[1] += 1
+                break
+        else:
+            classes.append([psi, 1])
+    return sorted(
+        (float(np.mod(psi + shift, 2 * np.pi)), len(live) - k)
+        for psi, k in classes
+        for shift in (0.5 * np.pi, 1.5 * np.pi)
+    )
+
+
+def haar_congruence(n, rng, cond=4.0):
+    """Orthogonal U diag(s) V^T with singular values spread over [1, cond]."""
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return u @ np.diag(np.geomspace(1.0, cond, n)) @ v.T
+
+
+def l1_block():
+    """3 x 3 symmetric pencil of rank 2 at every angle, with no drop."""
+    a = np.zeros((3, 3))
+    b = np.zeros((3, 3))
+    a[0, 2] = a[2, 0] = 1.0
+    b[1, 2] = b[2, 1] = 1.0
+    return a, b
 
 
 def quartet_pair():
@@ -73,8 +173,8 @@ def test_rank_profile_explicit_diagonal_pencil():
 
 
 def test_rank_profile_isolated_interior_drop(rng):
-    # Singular combination planted at a non-grid angle: the dip must still be
-    # found by local refinement of the scan.
+    # Singular combination planted at an arbitrary angle with a generic
+    # remainder: the drop must be found there.
     n = 6
     t0 = 0.7123456789
     a, _ = traceless_pair(n, rng)
@@ -170,3 +270,125 @@ def test_nearby_basis_rejects_nonpositive_eps(rng):
     a, b = traceless_pair(4, rng)
     with pytest.raises(ValueError):
         nearby_basis(a, b, 0.0)
+
+
+def test_rank_profile_l1_block_has_no_drops():
+    a, b = l1_block()
+    profile = rank_profile(SymmetricForm(a), SymmetricForm(b))
+    assert (profile.maxrank, profile.minrank, profile.drop_points) == (2, 2, ())
+
+
+def test_close_drops_reproducer_is_inconclusive():
+    # a rank-2 drop at 0.3 within one step of a 512-angle scan of the
+    # shallower drops at 0.305 and 0.31
+    theta = np.array([0.3] * 19 + [0.31, 0.3 + np.pi + 0.005])
+    a = SymmetricForm(np.diag(np.concatenate([[0.0], -np.sin(theta)])))
+    b = SymmetricForm(np.diag(np.concatenate([[0.0], np.cos(theta)])))
+    verdict = heisenberg_verdict(HeisenbergOperatorSpec(11, a, b))
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert verdict.hypothesis.minrank == 2
+    assert verdict.hypothesis.maxrank == 21
+    assert verdict.hypothesis.radical_status is RadicalStatus.DEGENERATE
+    assert verdict.condition_c is Branch.NONE
+    profile = rank_profile(a, b)
+    expected = [(t, 2) for t in (0.3, 0.3 + np.pi)]
+    expected += [(t, 20) for t in (0.305, 0.31, 0.305 + np.pi, 0.31 + np.pi)]
+    assert_same_drops(profile.drop_points, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.key)
+def test_rank_profile_matches_scan_oracle_on_fixtures(fixture):
+    profile = rank_profile(fixture.a, fixture.b)
+    maxrank, drops = scan_drops(fixture.a, fixture.b)
+    assert profile.maxrank == maxrank
+    assert_same_drops(profile.drop_points, drops)
+
+
+def test_rank_profile_matches_scan_oracle_on_random_pairs():
+    # 200 planted pairs: two to four angle classes at least 0.15 rad apart
+    # modulo pi (twelve scan steps), zero radii for a common kernel, and
+    # every fourth pair with an L1-type block whose range turns with theta
+    kinds = {"plain": 0, "kernel": 0, "l1": 0}
+    for index in range(200):
+        rng = np.random.default_rng([index, 0x5CA7])
+        classes = int(rng.integers(2, 5))
+        while True:
+            psi = rng.uniform(0.0, np.pi, classes)
+            gaps = [circular_gap(2 * x, 2 * y) / 2 for i, x in enumerate(psi) for y in psi[:i]]
+            if min(gaps, default=np.pi) > 0.15:
+                break
+        mult = rng.integers(1, 4, classes)
+        phi = np.repeat(psi, mult) + np.pi * rng.integers(0, 2, int(mult.sum()))
+        zeros = int(rng.integers(0, 3))
+        phi = np.concatenate([phi, np.zeros(zeros)])
+        radii = np.concatenate([rng.uniform(0.5, 2.0, int(mult.sum())), np.zeros(zeros)])
+        a0 = np.diag(radii * np.cos(phi))
+        b0 = np.diag(radii * np.sin(phi))
+        kind = "kernel" if zeros else "plain"
+        if index % 4 == 3:
+            la, lb = l1_block()
+            a0 = np.block([[a0, np.zeros((len(phi), 3))], [np.zeros((3, len(phi))), la]])
+            b0 = np.block([[b0, np.zeros((len(phi), 3))], [np.zeros((3, len(phi))), lb]])
+            kind = "l1"
+        p = haar_congruence(len(a0), rng)
+        a, b = SymmetricForm(p.T @ a0 @ p), SymmetricForm(p.T @ b0 @ p)
+        profile = rank_profile(a, b)
+        maxrank, drops = scan_drops(a, b)
+        assert profile.maxrank == maxrank, index
+        assert_same_drops(profile.drop_points, drops)
+        extra = 2 if kind == "l1" else 0
+        assert_same_drops(
+            profile.drop_points, [(t, r + extra) for t, r in planted_drops(phi, radii)]
+        )
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 40
+
+
+@pytest.mark.parametrize("spacing", [0.01, 0.003])
+def test_rank_profile_resolves_close_diagonal_drops(spacing):
+    # classes 0.01 rad apart (less than one 512-angle scan step) with
+    # multiplicities 1..4
+    psi = 0.4 + spacing * np.arange(6)
+    phi = np.repeat(psi, [1, 4, 2, 1, 3, 1])
+    radii = np.ones(len(phi))
+    a, b = planted(phi, radii, np.eye(len(phi)))
+    profile = rank_profile(a, b)
+    assert_same_drops(profile.drop_points, planted_drops(phi, radii))
+    assert profile.minrank == len(phi) - 4
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_rank_profile_random_angle_planted_pairs(n):
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed, 0xA9])
+        phi = rng.uniform(0.0, 2.0 * np.pi, n)
+        radii = np.ones(n)
+        a, b = planted(phi, radii, haar_congruence(n, rng))
+        profile = rank_profile(a, b)
+        assert len(profile.drop_points) == 2 * n
+        assert_same_drops(profile.drop_points, planted_drops(phi, radii))
+        assert profile.minrank == n - 1
+
+
+def test_rank_profile_jordan_block_drop():
+    # det(cos t A + sin t B) = -cos(t)^2: a double root, a 2 x 2 Jordan block
+    a = SymmetricForm(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    b = SymmetricForm(np.diag([1.0, 0.0]))
+    profile = rank_profile(a, b)
+    assert (profile.maxrank, profile.minrank) == (2, 1)
+    assert_same_drops(profile.drop_points, [(0.5 * np.pi, 1), (1.5 * np.pi, 1)], atol=1e-8)
+
+
+def test_rank_profile_refines_a_candidate_that_misses(monkeypatch):
+    # Candidates off by up to half the loose cut fail the SVD check; the
+    # golden-section fallback must still land on the drop.
+    real = pencil._candidate_clusters
+
+    def shifted(*args):
+        return [psi + 0.5 * pencil._IMAG_CUT for psi in real(*args)]
+
+    monkeypatch.setattr(pencil, "_candidate_clusters", shifted)
+    phi = [0.1, 0.1, 1.2, 2.0]
+    a, b = planted(phi, np.ones(4), haar_congruence(4, np.random.default_rng(5)))
+    profile = rank_profile(a, b)
+    assert_same_drops(profile.drop_points, planted_drops(phi, np.ones(4)))
