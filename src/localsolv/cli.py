@@ -11,6 +11,7 @@ input error, 3 numerical-inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -153,6 +154,18 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _as_finite(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InputError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
 def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != rows:
         raise InputError(f"{path}: expected {rows} rows")
@@ -239,7 +252,7 @@ def _load_two_step(payload: dict, warnings: list[str]) -> TwoStepGroupSpec:
         raw = payload["mu0"]
         if not isinstance(raw, list) or len(raw) != len(j_list):
             raise InputError(f"mu0: expected {len(j_list)} numbers")
-        mu0 = tuple(float(x) for x in raw)
+        mu0 = tuple(_as_finite(x, f"mu0[{i}]") for i, x in enumerate(raw))
     note = payload.get("note")
     if note is not None and not isinstance(note, str):
         raise InputError("note: expected a string")
@@ -512,7 +525,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="localsolv",
         description=(

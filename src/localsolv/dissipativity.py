@@ -3,23 +3,32 @@
 A pair (A, B) is non-dissipative when the zero matrix is the only positive
 semidefinite element of its real span.  Equivalently there is a positive
 definite Q with tr(Q A Q) = tr(Q B Q) = 0; equivalently no angle theta makes
-cos(theta) A + sin(theta) B nonzero and positive semidefinite.  This module
-decides the question by a directional eigenvalue scan and produces the
-certificate by alternating projections onto the trace-one semidefinite
-simplex and the trace-constraint plane.
+cos(theta) A + sin(theta) B nonzero and positive semidefinite.
+
+`decide` answers the question exactly from the singular angles that
+`pencil.rank_profile` computes: between consecutive singular angles the
+inertia of the element is constant, so it suffices to look at each singular
+angle and at one point of each arc between them (Guo-Higham-Tisseur 2009
+argue the same way for definite pairs).  A dense directional eigenvalue scan
+(`min_eig_scan`) survives only as the diagnostic `extreme_min_eig` of
+`is_non_dissipative`; no decision reads it.  Both entry points scale the
+pair by one power of two first (`forms.prescaled`).  The certificate comes
+from alternating projections onto the trace-one semidefinite simplex and
+the trace-constraint plane.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numeric import CERT_REL, EIG_REL, frob, golden_section_maximize
+from ._numeric import CERT_REL, EIG_REL, RANK_REL, frob, golden_section_maximize
 from .errors import InfeasiblePairError, NumericalInconclusiveError
-from .forms import SymmetricForm, span_rank
+from .forms import SymmetricForm, prescaled, span_rank
+from .pencil import PencilReport, rank_profile
 
 __all__ = [
     "Dissipativity",
@@ -29,6 +38,7 @@ __all__ = [
     "CertificateStatus",
     "CertificateOutcome",
     "min_eig_scan",
+    "decide",
     "is_non_dissipative",
     "trace_certificate",
     "trace_normalize",
@@ -149,9 +159,24 @@ def min_eig_scan(a: SymmetricForm, b: SymmetricForm, grid_size: int = 256) -> Di
     return DirectionalProfile(thetas, pos, neg)
 
 
-def _dependent_span_verdict(a: SymmetricForm, b: SymmetricForm, slack: float) -> DissipativityVerdict:
+def _dissipative(
+    a: SymmetricForm, b: SymmetricForm, theta: float, extreme: float, e: int
+) -> DissipativityVerdict:
+    """DISSIPATIVE at theta for a pair prescaled by 2**-e, valued at the pair's own scale."""
+    m = _combination(a, b, theta)
+    return DissipativityVerdict(
+        Dissipativity.DISSIPATIVE,
+        theta,
+        extreme,
+        math.ldexp(_min_eig(m), e),
+        math.ldexp(frob(m), e),
+    )
+
+
+def _dependent_span_verdict(a: SymmetricForm, b: SymmetricForm, e: int) -> DissipativityVerdict:
     # One-dimensional span: the pair is non-dissipative exactly when the
     # generator is indefinite.
+    slack = eig_slack(a, b)
     na, nb = a.frobenius(), b.frobenius()
     if na >= nb:
         gen, theta0 = a.matrix / na, 0.0
@@ -172,32 +197,93 @@ def _dependent_span_verdict(a: SymmetricForm, b: SymmetricForm, slack: float) ->
     if lo < -slack:  # generator NSD: the PSD element is the negation
         theta += math.pi
     theta %= 2.0 * math.pi
-    m = _combination(a, b, theta)
-    return DissipativityVerdict(
-        Dissipativity.DISSIPATIVE, theta, max(lo, -hi), _min_eig(m), frob(m)
-    )
+    return _dissipative(a, b, theta, max(lo, -hi), e)
 
 
-def is_non_dissipative(
-    a: SymmetricForm, b: SymmetricForm, grid_size: int = 256
-) -> DissipativityVerdict:
-    """Decide whether any nonzero pencil element is positive semidefinite.
+def _inertia(w: np.ndarray, sign: int) -> tuple[int, int]:
+    """(positive, negative) eigenvalue counts of sign * M, cut as ranks are."""
+    cut = RANK_REL * max(abs(w[0]), abs(w[-1])) * len(w)
+    counts = (int(np.count_nonzero(w > cut)), int(np.count_nonzero(w < -cut)))
+    return counts if sign > 0 else counts[::-1]
 
-    A grid scan of the smallest eigenvalue over all directions is refined by
-    golden-section maximization in every bracketing cell that holds a local
-    maximum; the pair is dissipative when the refined maximum clears the
-    scale-relative eigenvalue slack.  Pairs spanning a single direction are
-    decided directly from the generator's definiteness.
+
+def _check_inertia(
+    drops: list[tuple[float, int]],
+    drop_spectra: list[np.ndarray],
+    arc_spectra: list[np.ndarray],
+    maxrank: int,
+) -> None:
+    """Raise unless the inertias fit the drops; a misfit means a missed (or
+    misplaced) drop, and then no arc can be trusted to be PSD-free.
+
+    On the full circle the singular angles are the drops psi_i and psi_i + pi;
+    arc j runs from singular angle j to singular angle j + 1, and the second
+    half-turn repeats the first with M negated.  Only the branches vanishing
+    at a drop of rank rho can change sign there, so the drop keeps no more
+    negative (or positive) eigenvalues than either neighbouring arc, and the
+    two arcs differ by at most maxrank - rho in each count.  With no drops
+    the circle is one arc, on which M and -M have the same inertia.
     """
-    if a.dim != b.dim:
-        raise ValueError("forms have mismatched dimensions")
-    rank = span_rank(a, b)
-    if rank == 0:
-        raise ValueError("both forms vanish; the pair is undefined")
-    slack = eig_slack(a, b)
-    if rank == 1:
-        return _dependent_span_verdict(a, b, slack)
+    k = len(drops)
+    if k == 0:
+        pos, neg = _inertia(arc_spectra[0], 1)
+        if pos != neg:
+            raise NumericalInconclusiveError(
+                f"no rank drops, but the inertia ({pos}, {neg}) of M differs from that of -M"
+            )
+        return
+    arcs = [_inertia(arc_spectra[j % k], 1 if j < k else -1) for j in range(2 * k)]
+    for j in range(2 * k):
+        theta, rank = drops[j % k]
+        at = _inertia(drop_spectra[j % k], 1 if j < k else -1)
+        left, right = arcs[j - 1], arcs[j]
+        for c in (0, 1):
+            if at[c] > min(left[c], right[c]) or abs(left[c] - right[c]) > maxrank - rank:
+                raise NumericalInconclusiveError(
+                    f"inertia {at} at the rank-{rank} drop theta={theta + math.pi * (j >= k):.6f} "
+                    f"does not fit its arcs {left} and {right}: a rank drop is missing or misplaced"
+                )
 
+
+def decide(
+    a: SymmetricForm, b: SymmetricForm, profile: PencilReport | None
+) -> DissipativityVerdict:
+    """Exact dissipativity decision from the singular angles of the pencil.
+
+    `profile` is `rank_profile(a, b)`, or None when A and B span one
+    dimension (decided from the definiteness of the generator).  M is
+    evaluated at each drop angle and arc midpoint in [0, pi); one `eigvalsh`
+    covers the angle and its half-turn image, M(t + pi) = -M(t).  The pair
+    is DISSIPATIVE when the best smallest eigenvalue, `extreme_min_eig`,
+    clears -`eig_slack`, at the angle `theta` that attains it.
+    NON_DISSIPATIVE is returned only after the inertias pass
+    `_check_inertia`; otherwise NumericalInconclusiveError is raised.
+    """
+    (a, b), e = prescaled(a, b)
+    if profile is None:
+        return _dependent_span_verdict(a, b, e)
+    drops = [(theta, rank) for theta, rank in profile.drop_points if theta < math.pi]
+    psis = [theta for theta, _ in drops]
+    if psis:
+        arc_angles = [0.5 * (x + y) for x, y in zip(psis, psis[1:] + [psis[0] + math.pi])]
+    else:
+        arc_angles = [profile.generic_theta % math.pi]
+    drop_spectra = [np.linalg.eigvalsh(_combination(a, b, t)) for t in psis]
+    arc_spectra = [np.linalg.eigvalsh(_combination(a, b, t)) for t in arc_angles]
+    best_value, best_theta = -math.inf, 0.0
+    for t, w in zip(psis + arc_angles, drop_spectra + arc_spectra):
+        for value, theta in ((float(w[0]), t), (-float(w[-1]), t + math.pi)):
+            if value > best_value:
+                best_value, best_theta = value, theta
+    if best_value >= -eig_slack(a, b):
+        return _dissipative(a, b, best_theta % (2.0 * math.pi), math.ldexp(best_value, e), e)
+    _check_inertia(drops, drop_spectra, arc_spectra, profile.maxrank)
+    return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, math.ldexp(best_value, e))
+
+
+def _scan_maximum(a: SymmetricForm, b: SymmetricForm, grid_size: int) -> float:
+    """Maximum over the circle of the smallest eigenvalue: a grid scan refined
+    by golden-section maximization in every cell holding a local maximum."""
     profile = min_eig_scan(a, b, grid_size)
     thetas = profile.full_thetas
     values = profile.full_min_eigs
@@ -207,24 +293,41 @@ def is_non_dissipative(
     def min_eig_at(theta: float) -> float:
         return _min_eig(_combination(a, b, theta))
 
-    best_theta = float(thetas[int(np.argmax(values))])
-    best_value = float(np.max(values))
-    # Refine every circular local maximum of the sampled profile.
+    best = float(np.max(values))
     for i in range(n):
-        left = values[(i - 1) % n]
-        right = values[(i + 1) % n]
-        if values[i] >= left and values[i] >= right:
-            lo = thetas[i] - step
-            hi = thetas[i] + step
-            theta, value = golden_section_maximize(min_eig_at, lo, hi, 60)
-            if value > best_value:
-                best_value, best_theta = value, theta % (2.0 * math.pi)
-    if best_value >= -slack:
-        m = _combination(a, b, best_theta)
-        return DissipativityVerdict(
-            Dissipativity.DISSIPATIVE, best_theta, best_value, _min_eig(m), frob(m)
-        )
-    return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, best_value)
+        if values[i] >= values[(i - 1) % n] and values[i] >= values[(i + 1) % n]:
+            _, value = golden_section_maximize(
+                min_eig_at, thetas[i] - step, thetas[i] + step, 60
+            )
+            best = max(best, value)
+    return best
+
+
+def is_non_dissipative(
+    a: SymmetricForm, b: SymmetricForm, grid_size: int = 256
+) -> DissipativityVerdict:
+    """Decide whether any nonzero pencil element is positive semidefinite.
+
+    `kind` and `theta` come from `decide` on the drops of `rank_profile`.
+    `extreme_min_eig` is a diagnostic that no decision reads: the maximum
+    over the circle of the smallest eigenvalue, refined from a `grid_size`
+    scan (`_scan_maximum`) and taken together with the best value at the
+    decision's angles, so a DISSIPATIVE report never shows a value below
+    -`eig_slack`.  Pairs spanning a single direction are decided from the
+    generator's definiteness.  The pair is scaled by one power of two
+    first, and every reported eigenvalue scaled back.
+    """
+    if a.dim != b.dim:
+        raise ValueError("forms have mismatched dimensions")
+    (sa, sb), e = prescaled(a, b)
+    rank = span_rank(sa, sb)
+    if rank == 0:
+        raise ValueError("both forms vanish; the pair is undefined")
+    if rank == 1:
+        return decide(a, b, None)
+    verdict = decide(a, b, rank_profile(a, b))
+    scanned = math.ldexp(_scan_maximum(sa, sb, grid_size), e)
+    return replace(verdict, extreme_min_eig=max(verdict.extreme_min_eig, scanned))
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -284,10 +387,11 @@ def trace_certificate(
         return np.array([np.tensordot(p, m) for m in mats]) - targets
 
     p = np.eye(n) / n
+    residual = affine_residual(p)
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
-        coeffs = np.linalg.solve(gram, affine_residual(p))
+        coeffs = np.linalg.solve(gram, residual)
         p = p - sum(c * m for c, m in zip(coeffs, mats))
         p = _project_spectahedron(p)
         residual = affine_residual(p)

@@ -21,6 +21,7 @@ answered by this library are invariant under that flip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "is_symplectic_subspace",
     "congruence",
     "span_rank",
+    "prescaled",
 ]
 
 
@@ -329,3 +331,19 @@ def span_rank(*forms: SymmetricForm) -> int:
     _check_form_dims(*forms)
     stacked = np.column_stack([f.matrix.ravel() for f in forms])
     return numerical_rank(stacked)
+
+
+def prescaled(*forms: SymmetricForm) -> tuple[tuple[SymmetricForm, ...], int]:
+    """The forms times one power of two, 2**-e, and the exponent e.
+
+    e puts the largest entry of all the forms in [0.5, 1), so nothing built
+    from the scaled forms overflows or underflows; the scaling is exact, so
+    rank and sign decisions read the same as on the forms themselves, and a
+    scaled value v stands for ldexp(v, e).  All-zero forms come back as
+    they are, with e = 0.
+    """
+    peak = max(float(np.max(np.abs(f.matrix), initial=0.0)) for f in forms)
+    e = math.frexp(peak)[1]
+    if e == 0:
+        return forms, 0
+    return tuple(SymmetricForm(np.ldexp(f.matrix, -e)) for f in forms), e

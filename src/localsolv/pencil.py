@@ -31,7 +31,7 @@ from ._numeric import (
     rng_for,
 )
 from .errors import DependentPairError, ZeroElementError
-from .forms import SymmetricForm, span_rank
+from .forms import SymmetricForm, prescaled, span_rank
 
 __all__ = [
     "PencilReport",
@@ -156,8 +156,11 @@ def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilRe
     """Generic rank, minimal nonzero rank and rank-drop directions.
 
     Drops are the candidate angles of the compressed pencil whose element
-    has rank below maxrank, each reported with its half-turn image.
+    has rank below maxrank, each reported with its half-turn image.  The
+    pair is first scaled by one power of two (`forms.prescaled`), which
+    changes no rank or angle but keeps every element representable.
     """
+    (a, b), _ = prescaled(a, b)
     maxrank, generic_theta, spectrum, notes = _probe(a, b, seed)
     marginal = [generic_theta] if _marginal(spectrum, maxrank) else []
     marginal_drops: list[float] = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, rng_for, unit_vector
-from .dissipativity import is_non_dissipative
+from .dissipativity import decide
 from .forms import (
     SymmetricForm,
     SymplecticStructure,
@@ -337,8 +337,8 @@ def hypothesis_report(
     if pair_rank == 0:
         raise ValueError("both forms vanish")
 
-    verdict = is_non_dissipative(a, b)
     if pair_rank < 2:
+        profile = None
         dominant = a if a.frobenius() >= b.frobenius() else b
         minrank = maxrank = dominant.rank()
         independent = False
@@ -350,6 +350,7 @@ def hypothesis_report(
             notes.append(f"marginal rank decision near theta={theta:.6f}")
         c = poisson_bracket(a, b, structure)
         independent = span_rank(a, b, c) == 3
+    verdict = decide(a, b, profile)
 
     radical = joint_radical(a, b)
     if radical.dim == 0:

@@ -57,6 +57,22 @@ def dissipative_pair(n, rng, psd_rank=None):
     return SymmetricForm(a), SymmetricForm(b), theta
 
 
+def haar_congruence(n, rng, cond=4.0):
+    """Orthogonal U diag(s) V^T with singular values spread over [1, cond]."""
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return u @ np.diag(np.geomspace(1.0, cond, n)) @ v.T
+
+
+def l1_block():
+    """3 x 3 symmetric pencil of rank 2 at every angle, with no drop."""
+    a = np.zeros((3, 3))
+    b = np.zeros((3, 3))
+    a[0, 2] = a[2, 0] = 1.0
+    b[1, 2] = b[2, 1] = 1.0
+    return a, b
+
+
 def random_skew_structure(n, rng, cond_cap=50.0):
     """Well-conditioned random non-degenerate skew pairing."""
     while True:

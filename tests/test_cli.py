@@ -262,6 +262,42 @@ def test_input_error_overflowing_integer_entry(capsys, tmp_path):
     assert err.startswith("input error: A_re[1][1]: expected a finite number")
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("NaN", "expected a finite number, got nan"),
+        ("Infinity", "expected a finite number, got inf"),
+        ("-Infinity", "expected a finite number, got -inf"),
+        ("1e400", "expected a finite number, got inf"),
+        ("1" + "0" * 400, "expected a finite number, got 1" + "0" * 400),
+        ('"x"', "expected a number, got 'x'"),
+        ("true", "expected a number, got True"),
+        ("null", "expected a number, got None"),
+    ],
+)
+def test_input_error_bad_mu0_entry(capsys, tmp_path, literal, message):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"m": 2, "A_re": [[1, 0], [0, -1]], "A_im": [[0, 1], [1, 0]], '
+        '"J_list": [[[0, 1], [-1, 0]], [[0, 2], [-2, 0]]], '
+        f'"mu0": [1.5, {literal}]}}'
+    )
+    code, out, err = run_cli(capsys, "check-2step", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: mu0[1]: {message}\n"
+
+
+def test_parser_built_once_per_process(capsys, quartet_file):
+    from localsolv import cli
+
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        code, _, _ = run_cli(capsys, "pencil", quartet_file)
+        assert code == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_dependent_pair_is_input_error(capsys, tmp_path):
     path = tmp_path / "dep.json"
     payload = {"n": 2, "A": [[1, 0], [0, -1]], "B": [[2, 0], [0, -2]]}

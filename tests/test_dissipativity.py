@@ -5,6 +5,8 @@ directions; verdicts must agree with it, and every certificate is checked
 directly against the defining trace identities.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,17 +18,28 @@ from localsolv import (
     trace_certificate,
     trace_normalize,
 )
-from localsolv.dissipativity import cert_tolerance, eig_slack
-from localsolv.errors import InfeasiblePairError
-from conftest import congruent_pair, dissipative_pair, random_symmetric, traceless_pair
+from localsolv import dissipativity, pencil, rank_profile, witness
+from localsolv.dissipativity import Dissipativity, cert_tolerance, decide, eig_slack
+from localsolv.errors import InfeasiblePairError, NumericalInconclusiveError
+from localsolv.forms import SymplecticStructure
+from conftest import (
+    congruent_pair,
+    dissipative_pair,
+    haar_congruence,
+    l1_block,
+    random_symmetric,
+    traceless_pair,
+)
 
 
-def scan_oracle(a, b, grid=10_000):
-    """Max over the full circle of the smallest eigenvalue of the combination."""
+def scan_oracle(a, b, grid=10_000, extra=()):
+    """Max over the full circle of the smallest eigenvalue of the combination,
+    sampled on `grid` equally spaced angles and at the `extra` angles."""
+    thetas = np.concatenate([np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False), extra])
     best = -np.inf
-    for theta in np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False):
-        m = np.cos(theta) * a.matrix + np.sin(theta) * b.matrix
-        best = max(best, float(np.linalg.eigvalsh(m)[0]))
+    for chunk in np.array_split(thetas, max(1, len(thetas) // 1000)):
+        m = np.cos(chunk)[:, None, None] * a.matrix + np.sin(chunk)[:, None, None] * b.matrix
+        best = max(best, float(np.max(np.linalg.eigvalsh(m)[:, 0])))
     return best
 
 
@@ -224,3 +237,235 @@ def test_certificate_accepts_longer_lists(rng):
     tol = 1e-8 * (a.frobenius() + b.frobenius() + c.frobenius())
     for f in (a, b, c):
         assert abs(np.trace(q @ f.matrix @ q)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the exact decision from the pencil's singular angles
+
+
+def decision(a, b):
+    return decide(a, b, rank_profile(a, b))
+
+
+def assert_agrees(a, b, verdict, oracle, margin=1e-6):
+    """The decision matches a decisive oracle value; a DISSIPATIVE angle is PSD."""
+    assert abs(oracle) > margin, oracle
+    assert verdict.non_dissipative == (oracle < 0.0), (oracle, verdict)
+    if not verdict.non_dissipative:
+        m = np.cos(verdict.theta) * a.matrix + np.sin(verdict.theta) * b.matrix
+        assert np.linalg.eigvalsh(m)[0] >= -eig_slack(a, b)
+        assert verdict.witness_min_eig >= -eig_slack(a, b)
+        assert verdict.extreme_min_eig >= -eig_slack(a, b)
+
+
+def planted_pair(phi, radii, p):
+    """P^T diag(r cos phi) P, P^T diag(r sin phi) P: dissipative exactly when
+    every phi with r != 0 lies in one closed half-circle."""
+    a = p.T @ np.diag(radii * np.cos(phi)) @ p
+    b = p.T @ np.diag(radii * np.sin(phi)) @ p
+    return SymmetricForm(a), SymmetricForm(b)
+
+
+def spread_angles(n, spread, rng):
+    """n angles whose closed hull on the circle has length `spread` (at most
+    2 pi): the ends, the middle and n - 3 more inside, then one rotation.
+    They lie in a closed half-circle exactly when spread <= pi."""
+    inner = rng.uniform(0.0, spread, n - 3)
+    return np.concatenate([[0.0, 0.5 * spread, spread], inner]) + rng.uniform(0.0, 2.0 * np.pi)
+
+
+def test_decision_matches_scan_oracle_on_random_pairs():
+    # random pairs shifted along a random direction by a multiple of the
+    # identity, so that both outcomes occur
+    outcomes = {True: 0, False: 0}
+    for index in range(300):
+        rng = np.random.default_rng([index, 0xD1CE])
+        n = int(rng.integers(2, 13))
+        shift = rng.uniform(0.0, 2.5) * np.sqrt(n)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        a = SymmetricForm(random_symmetric(n, rng) + shift * np.cos(phi) * np.eye(n))
+        b = SymmetricForm(random_symmetric(n, rng) + shift * np.sin(phi) * np.eye(n))
+        verdict = decision(a, b)
+        assert_agrees(a, b, verdict, scan_oracle(a, b, grid=2_000))
+        outcomes[verdict.non_dissipative] += 1
+    assert min(outcomes.values()) >= 100
+
+
+@pytest.mark.parametrize("n", [4, 10, 20])
+@pytest.mark.parametrize("delta", [-0.05, -0.01, -0.001, 0.001, 0.01, 0.05])
+def test_decision_on_planted_arc_pairs(n, delta):
+    # angles spread over pi + delta: dissipative below the cut (delta < 0),
+    # non-dissipative above it; a congruence hides the layout
+    rng = np.random.default_rng([n, int(1e4 * (delta + 1.0)), 0xA4C])
+    phi = spread_angles(n, np.pi + delta, rng)
+    radii = rng.uniform(0.5, 2.0, n)
+    a, b = planted_pair(phi, radii, haar_congruence(n, rng))
+    verdict = decision(a, b)
+    assert verdict.non_dissipative == (delta > 0.0)
+    assert_agrees(a, b, verdict, scan_oracle(a, b, grid=20_000), margin=1e-7)
+    assert is_non_dissipative(a, b).kind is verdict.kind
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (4, 2), (8, 3), (12, 1), (12, 10)])
+def test_decision_finds_psd_element_at_a_single_singular_angle(n, k):
+    # M(theta0) = P, PSD of rank k; the other form is indefinite on ker P,
+    # so no other element is PSD and a scan steps over the only one
+    rng = np.random.default_rng([n, k, 0x51A])
+    psd = np.diag(np.concatenate([rng.uniform(0.5, 2.0, k), np.zeros(n - k)]))
+    other = random_symmetric(n, rng)
+    other[k:, k:] = np.diag(np.resize([1.0, -1.0], n - k))
+    theta0 = rng.uniform(0.0, 2.0 * np.pi)
+    a0 = np.cos(theta0) * psd - np.sin(theta0) * other
+    b0 = np.sin(theta0) * psd + np.cos(theta0) * other
+    p = haar_congruence(n, rng)
+    a, b = SymmetricForm(p.T @ a0 @ p), SymmetricForm(p.T @ b0 @ p)
+    verdict = decision(a, b)
+    assert verdict.kind is Dissipativity.DISSIPATIVE
+    gap = abs(verdict.theta - theta0) % (2.0 * np.pi)
+    assert min(gap, 2.0 * np.pi - gap) < 1e-6
+    assert scan_oracle(a, b) < -1e-6
+    assert scan_oracle(a, b, extra=[verdict.theta]) >= -eig_slack(a, b)
+    m = np.cos(verdict.theta) * a.matrix + np.sin(verdict.theta) * b.matrix
+    assert np.linalg.eigvalsh(m)[0] >= -eig_slack(a, b)
+    assert is_non_dissipative(a, b).kind is Dissipativity.DISSIPATIVE
+
+
+def test_decision_on_definite_pairs():
+    for index in range(20):
+        rng = np.random.default_rng([index, 0xDEF])
+        n = int(rng.integers(3, 13))
+        g = rng.standard_normal((n, n))
+        definite = g @ g.T + 0.1 * np.eye(n)
+        other = random_symmetric(n, rng)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        a = SymmetricForm(np.cos(phi) * definite - np.sin(phi) * other)
+        b = SymmetricForm(np.sin(phi) * definite + np.cos(phi) * other)
+        verdict = decision(a, b)
+        assert verdict.kind is Dissipativity.DISSIPATIVE
+        assert_agrees(a, b, verdict, scan_oracle(a, b, grid=2_000))
+
+
+@pytest.mark.parametrize("kind", ["kernel", "l1"])
+def test_decision_on_singular_pencils(kind):
+    outcomes = {True: 0, False: 0}
+    for index in range(30):
+        rng = np.random.default_rng([index, 0x5106])
+        n = int(rng.integers(3, 9))
+        spread = np.pi + rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.5)
+        phi = spread_angles(n, spread, rng)
+        radii = rng.uniform(0.5, 2.0, n)
+        a0, b0 = np.diag(radii * np.cos(phi)), np.diag(radii * np.sin(phi))
+        if kind == "kernel":
+            extra_a = extra_b = np.zeros((2, 2))
+        else:
+            extra_a, extra_b = l1_block()
+        a0 = np.block([[a0, np.zeros((n, len(extra_a)))], [np.zeros((len(extra_a), n)), extra_a]])
+        b0 = np.block([[b0, np.zeros((n, len(extra_b)))], [np.zeros((len(extra_b), n)), extra_b]])
+        p = haar_congruence(len(a0), rng)
+        a, b = SymmetricForm(p.T @ a0 @ p), SymmetricForm(p.T @ b0 @ p)
+        verdict = decision(a, b)
+        # an L1 block is indefinite at every angle: it leaves no PSD element
+        assert verdict.non_dissipative == (spread > np.pi or kind == "l1")
+        # every element vanishes on the kernel, so a PSD one has min eigenvalue 0
+        oracle = scan_oracle(a, b, grid=2_000)
+        assert oracle < -1e-6 or abs(oracle) < 1e-12
+        assert verdict.non_dissipative == (oracle < -1e-6)
+        outcomes[verdict.non_dissipative] += 1
+    assert outcomes[True] >= 10
+    assert kind == "l1" or outcomes[False] >= 10
+
+
+def test_decision_raises_when_a_drop_is_missing():
+    # angles 0, 0.1, 2.5, 4.0 lie in no half-circle; entering the half-plane
+    # at 0 and 0.1 in a row, two branches turn positive, so dropping the
+    # class of 0.1 leaves two arcs whose inertias differ by 2 across a
+    # deficiency-1 drop
+    rng = np.random.default_rng(0x0D5)
+    for _ in range(5):
+        phi = np.array([0.0, 0.1, 2.5, 4.0]) + rng.uniform(0.0, 2.0 * np.pi)
+        a, b = planted_pair(phi, rng.uniform(0.5, 2.0, 4), haar_congruence(4, rng))
+        profile = rank_profile(a, b)
+        assert decide(a, b, profile).non_dissipative
+        psi = (phi[1] + 0.5 * np.pi) % np.pi
+        kept = tuple(
+            (t, r) for t, r in profile.drop_points if abs(np.sin(t - psi)) > 1e-6
+        )
+        assert len(kept) == len(profile.drop_points) - 2
+        with pytest.raises(NumericalInconclusiveError, match="missing or misplaced"):
+            decide(a, b, replace(profile, drop_points=kept))
+
+
+def test_decision_without_drops_checks_half_turn_inertia():
+    # the hyperbolic pair has no drops, and M and -M share their inertia;
+    # a profile claiming no drops for a pencil that has them must not pass
+    a = SymmetricForm(np.diag([1.0, -1.0]))
+    b = SymmetricForm([[0.0, 1.0], [1.0, 0.0]])
+    assert decision(a, b).non_dissipative
+    phi = np.array([0.0, 2.0, 4.0])
+    a3, b3 = planted_pair(phi, np.ones(3), np.eye(3))
+    profile = rank_profile(a3, b3)
+    assert decide(a3, b3, profile).non_dissipative
+    with pytest.raises(NumericalInconclusiveError):
+        decide(a3, b3, replace(profile, minrank=profile.maxrank, drop_points=()))
+
+
+def test_hypothesis_report_runs_the_pencil_once_and_no_scan(monkeypatch):
+    calls = []
+    original = witness.rank_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the verdict path must not scan")
+
+    monkeypatch.setattr(witness, "rank_profile", counted)
+    monkeypatch.setattr(dissipativity, "rank_profile", counted)
+    monkeypatch.setattr(dissipativity, "min_eig_scan", forbidden)
+    monkeypatch.setattr(dissipativity, "is_non_dissipative", forbidden)
+    monkeypatch.setattr(witness, "is_non_dissipative", forbidden, raising=False)
+    rng = np.random.default_rng(0x4E9)
+    structure = SymplecticStructure.canonical(6)
+    for a, b in (traceless_pair(6, rng), dissipative_pair(6, rng)[:2]):
+        calls.clear()
+        report = witness.hypothesis_report(a, b, structure)
+        assert len(calls) == 1
+        assert report.nondissipative == decision(a, b).non_dissipative
+
+
+# ---------------------------------------------------------------------------
+# one power of two at the boundary: the whole float range
+
+
+SCALES = [1e-300, 1e-150, 1e150, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_hyperbolic_pair_at_extreme_scales(s):
+    a = SymmetricForm(s * np.diag([1.0, -1.0]))
+    b = SymmetricForm(s * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    profile = rank_profile(a, b)
+    assert (profile.maxrank, profile.minrank, profile.drop_points) == (2, 2, ())
+    verdict = is_non_dissipative(a, b)
+    assert verdict.kind is Dissipativity.NON_DISSIPATIVE
+    assert verdict.extreme_min_eig / s == pytest.approx(-1.0)
+    assert decide(a, b, profile).non_dissipative
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_dissipative_pair_at_extreme_scales(s):
+    rng = np.random.default_rng(0x5CA1E)
+    a1, b1, _ = dissipative_pair(4, rng)
+    a, b = SymmetricForm(s * a1.matrix), SymmetricForm(s * b1.matrix)
+    reference = is_non_dissipative(a1, b1)
+    for verdict in (is_non_dissipative(a, b), decision(a, b)):
+        assert verdict.kind is Dissipativity.DISSIPATIVE
+        assert verdict.theta == pytest.approx(reference.theta, abs=1e-12)
+        m = np.cos(verdict.theta) * a1.matrix + np.sin(verdict.theta) * b1.matrix
+        assert np.linalg.eigvalsh(m)[0] >= -eig_slack(a1, b1)
+        assert verdict.witness_min_eig / s == pytest.approx(reference.witness_min_eig)
+        assert verdict.witness_norm / s == pytest.approx(reference.witness_norm)
+    assert is_non_dissipative(a, b).extreme_min_eig / s == pytest.approx(
+        reference.extreme_min_eig
+    )

@@ -22,7 +22,13 @@ from localsolv import pencil
 from localsolv._numeric import golden_section_minimize, rank_tolerance
 from localsolv.errors import DependentPairError, ZeroElementError
 from localsolv.fixtures import all_fixtures
-from conftest import congruent_pair, rank2_hyperbolic, traceless_pair
+from conftest import (
+    congruent_pair,
+    haar_congruence,
+    l1_block,
+    rank2_hyperbolic,
+    traceless_pair,
+)
 
 
 def scan_drops(a, b, points=512):
@@ -99,22 +105,6 @@ def planted_drops(phi, radii):
         for psi, k in classes
         for shift in (0.5 * np.pi, 1.5 * np.pi)
     )
-
-
-def haar_congruence(n, rng, cond=4.0):
-    """Orthogonal U diag(s) V^T with singular values spread over [1, cond]."""
-    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return u @ np.diag(np.geomspace(1.0, cond, n)) @ v.T
-
-
-def l1_block():
-    """3 x 3 symmetric pencil of rank 2 at every angle, with no drop."""
-    a = np.zeros((3, 3))
-    b = np.zeros((3, 3))
-    a[0, 2] = a[2, 0] = 1.0
-    b[1, 2] = b[2, 1] = 1.0
-    return a, b
 
 
 def quartet_pair():
