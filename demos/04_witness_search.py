@@ -35,12 +35,14 @@ print("projected point residuals:", a.normalized()(z), b.normalized()(z))
 search = transversality_witness(a, b)
 print("transversality witness margin:", search.witness.margin, "in", search.attempts, "restarts")
 
-# For the pair (x^2 - y^2, xy) the joint zero set is the origin alone, so
-# the search must come back empty no matter the seed.
+# For the pair (x^2 - y^2, xy) the joint zero set is the origin alone.  In
+# the plane that has a closed form (the residual traces an ellipse that
+# misses the origin), so the search proves it empty before any restart.
 plane_a = SymmetricForm(np.diag([1.0, -1.0]))
 plane_b = SymmetricForm([[0.0, 0.5], [0.5, 0.0]])
 empty = transversality_witness(plane_a, plane_b, restarts=50)
-print("plane pair found a witness:", empty.found, f"({empty.attempts} restarts used)")
+print("plane pair found a witness:", empty.found,
+      f"(status {empty.status.value}, {empty.attempts} restarts used)")
 
 # Bracket witnesses: points where both forms vanish but their bracket does
 # not.  For a generic large pair one exists and is found almost immediately.
@@ -53,8 +55,9 @@ report = hypothesis_report(big_a, big_b, structure)
 print("hypothesis branch for this pair:", report.branch.value)
 
 # The quartet counterexample: the bracket vanishes on the whole joint zero
-# set, and the search reports that honestly (an empty outcome is a search
-# statement, not a proof of non-existence).
+# set, which is not empty, so nothing proves the search futile and it runs
+# its whole budget (EXHAUSTED: a search statement, not a proof of
+# non-existence).
 qa = np.zeros((4, 4))
 qa[0, 3] = qa[3, 0] = 0.5
 qa[1, 2] = qa[2, 1] = 0.5
@@ -64,7 +67,8 @@ qb[1, 3] = qb[3, 1] = -0.5
 A, B = SymmetricForm(qa), SymmetricForm(qb)
 C = poisson_bracket(A, B, SymplecticStructure.canonical(4))
 empty = bracket_witness(A, B, C, restarts=60)
-print("quartet bracket witness found:", empty.found)
+print("quartet bracket witness found:", empty.found,
+      f"(status {empty.status.value}, {empty.attempts} restarts used)")
 
 # Containment probing: for independent traceless pairs the region {Q_A <= 0}
 # never fits inside {Q_B <= 0}; a sampled separating point proves it.

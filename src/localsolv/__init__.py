@@ -40,11 +40,13 @@ from .pencil import (
 from .witness import (
     WitnessResult,
     WitnessSearch,
+    SearchStatus,
     ContainmentProbe,
     RadicalStatus,
     Branch,
     HypothesisReport,
     project_to_joint_zero,
+    zero_set_gap,
     transversality_witness,
     bracket_witness,
     hypothesis_report,

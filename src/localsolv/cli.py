@@ -359,6 +359,7 @@ def _witness_payload(search: WitnessSearch, mode: str) -> dict:
     payload = {
         "mode": mode,
         "found": search.found,
+        "status": search.status.value,
         "attempts": search.attempts,
         "budget": search.budget,
         "witness": None,
@@ -447,17 +448,24 @@ def _cmd_pencil(args, payload, warnings):
     }, _EXIT_OK
 
 
+def _restarts(args) -> int:
+    if args.restarts < 1:
+        raise InputError(f"--restarts: expected a positive integer, got {args.restarts}")
+    return args.restarts
+
+
 def _cmd_witness(args, payload, warnings):
+    restarts = _restarts(args)
     n, a, b, c, structure = _load_forms(payload, warnings)
     if args.mode == "trans":
-        search = transversality_witness(a, b, restarts=args.restarts, seed=args.seed)
+        search = transversality_witness(a, b, restarts=restarts, seed=args.seed)
         mode = "transversality"
     else:
         if c is None:
             structure = _canonical_or(structure, n)
             c = poisson_bracket(a, b, structure)
             warnings.append("C missing; using the bracket of A and B")
-        search = bracket_witness(a, b, c, restarts=args.restarts, seed=args.seed)
+        search = bracket_witness(a, b, c, restarts=restarts, seed=args.seed)
         mode = "bracket"
     return _witness_payload(search, mode), _EXIT_OK
 
@@ -492,7 +500,8 @@ def _cmd_reduce_step(args, payload, warnings):
 
 
 def _cmd_fixtures(args, payload, warnings):
-    reports = [verify_fixture(f, restarts=args.restarts) for f in all_fixtures()]
+    restarts = _restarts(args)
+    reports = [verify_fixture(f, restarts=restarts) for f in all_fixtures()]
     result = {
         "all_passed": all(r.passed for r in reports),
         "fixtures": [

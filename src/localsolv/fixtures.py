@@ -17,13 +17,18 @@ from .dissipativity import is_non_dissipative
 from .forms import (
     SymmetricForm,
     SymplecticStructure,
-    is_symplectic_subspace,
     joint_radical,
     poisson_bracket,
     span_rank,
 )
 from .pencil import rank_profile
-from .witness import RadicalStatus, bracket_witness, transversality_witness
+from .witness import (
+    RadicalStatus,
+    SearchStatus,
+    bracket_witness,
+    radical_status,
+    transversality_witness,
+)
 
 __all__ = ["FormFixture", "FixtureCheck", "FixtureReport", "all_fixtures", "verify_fixture"]
 
@@ -266,12 +271,7 @@ def verify_fixture(
             f"observed {radical.dim}",
         )
     )
-    if radical.dim == 0:
-        status = RadicalStatus.TRIVIAL
-    elif is_symplectic_subspace(radical, fixture.structure).symplectic:
-        status = RadicalStatus.SYMPLECTIC
-    else:
-        status = RadicalStatus.DEGENERATE
+    status = radical_status(radical, fixture.structure)
     checks.append(
         FixtureCheck(
             f"radical status is {fixture.expected_radical_status.value}",
@@ -299,11 +299,11 @@ def verify_fixture(
                 search = transversality_witness(
                     fixture.a, fixture.b, restarts=restarts, seed=seed
                 )
+            if search.status is SearchStatus.EMPTY:
+                detail = f"proved empty after {search.attempts} of {search.budget} restarts"
+            else:
+                detail = f"attempts {search.attempts} of {search.budget}"
             checks.append(
-                FixtureCheck(
-                    f"{mode} search is empty (seed {seed})",
-                    not search.found,
-                    f"attempts {search.attempts} of {search.budget}",
-                )
+                FixtureCheck(f"{mode} search is empty (seed {seed})", not search.found, detail)
             )
     return FixtureReport(fixture.key, tuple(checks))

@@ -134,7 +134,10 @@ def _candidate_clusters(
     h = u.T @ _element(a, b, theta_g + 0.5 * math.pi) @ u
     lam = np.linalg.eigvals(np.linalg.solve(g, h)).astype(complex)
     # tan(phi) = -1/lambda, written so that lambda = 0 gives phi = pi/2.
-    phi = 0.5 * math.pi + np.arctan(lam)
+    # lambda = +-i (no real angle) gives an infinite imaginary part, which
+    # the cut below drops.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = 0.5 * math.pi + np.arctan(lam)
     psi = np.sort(np.mod(theta_g + phi.real[np.abs(phi.imag) <= _IMAG_CUT], math.pi))
     groups: list[list[float]] = []
     for x in psi:

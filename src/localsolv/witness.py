@@ -4,8 +4,16 @@ The joint zero set {Q_A = 0} n {Q_B = 0} is a cone; all searches work on its
 unit sphere section.  Points are reached by a Gauss-Newton projection of the
 two-component residual map (minimal-norm update, re-normalized every step),
 restarted from seeded random directions.  A returned witness always carries
-re-checkable residuals and the margin it certifies; a NONE_FOUND outcome only
-reports that the restart budget was exhausted, never that no witness exists.
+re-checkable residuals and the margin it certifies.
+
+A search ends in one of three ways (`SearchStatus`): FOUND, with a witness;
+EMPTY, when `zero_set_gap` proves that no point of the unit sphere can pass
+the residual test, so no witness exists; or EXHAUSTED, when the restart
+budget ran out, which is a statement about the search and not a proof that
+no witness exists.  For n = 2 the gap is exact and taken before the first
+restart.  For n >= 3 the joint zero set is {0} exactly when some pencil
+element is definite (Calabi 1964, after Finsler 1937); that is checked once
+the first restart has failed, so searches that succeed at once pay nothing.
 """
 
 from __future__ import annotations
@@ -17,12 +25,15 @@ import numpy as np
 
 from ._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, rng_for, unit_vector
 from .dissipativity import decide
+from .errors import NumericalInconclusiveError
 from .forms import (
     SymmetricForm,
     SymplecticStructure,
+    Subspace,
     joint_radical,
     is_symplectic_subspace,
     poisson_bracket,
+    prescaled,
     span_rank,
 )
 from .pencil import rank_profile
@@ -30,14 +41,17 @@ from .pencil import rank_profile
 __all__ = [
     "WitnessResult",
     "WitnessSearch",
+    "SearchStatus",
     "ContainmentProbe",
     "RadicalStatus",
     "Branch",
     "HypothesisReport",
     "project_to_joint_zero",
+    "zero_set_gap",
     "transversality_witness",
     "bracket_witness",
     "hypothesis_report",
+    "radical_status",
     "containment_probe",
 ]
 
@@ -51,6 +65,18 @@ _HILL_CLIMB_STEPS = 50
 # leakage at ~2e-7, safely below every margin threshold in use.
 _POLISH_TOL = 1e-14
 _POLISH_ITERATIONS = 60
+
+# A search is EMPTY when `zero_set_gap` exceeds this.  Any gap above
+# sqrt(2) * ZERO_TOL already rules out every point the residual test could
+# accept; the cut sits far above that, so rounding in the proof cannot turn
+# a near miss into EMPTY.  Below it the search runs as if there were no proof.
+_EMPTY_CUT = 1e-6
+
+
+class SearchStatus(enum.Enum):
+    FOUND = "FOUND"
+    EXHAUSTED = "EXHAUSTED"
+    EMPTY = "EMPTY"
 
 
 class RadicalStatus(enum.Enum):
@@ -90,9 +116,16 @@ class WitnessResult:
 
 @dataclass(frozen=True)
 class WitnessSearch:
+    """Outcome of a restarted search; `attempts` counts the restarts run."""
+
     witness: WitnessResult | None
     attempts: int
     budget: int
+    status: SearchStatus
+
+    def __post_init__(self):
+        if (self.witness is not None) != (self.status is SearchStatus.FOUND):
+            raise ValueError("a search carries a witness exactly when its status is FOUND")
 
     @property
     def found(self) -> bool:
@@ -213,6 +246,86 @@ def _witness_from_point(a, b, z, margin, attempts, kind) -> WitnessResult:
     )
 
 
+def _plane_gap(an: np.ndarray, bn: np.ndarray) -> float:
+    """Exact minimum of ||(Q_An(z), Q_Bn(z))|| over unit z in R^2.
+
+    With z = (cos t, sin t) and phi = 2t, Q(z) = tr(M)/2 + ((m11 - m22)/2,
+    m12) . (cos phi, sin phi), so the residual traces the ellipse
+    c + L u(phi).  g = ||c + L u||^2 = |c|^2 + 2 d.u + u^T K u with d = L^T c
+    and K = L^T L, and z^2 g'(phi) is a quartic in z = e^(i phi); g is
+    evaluated at the argument of each of its roots (a superset of the
+    critical points) and at phi = 0, in case g is constant.
+    """
+    c = 0.5 * np.array([an[0, 0] + an[1, 1], bn[0, 0] + bn[1, 1]])
+    ell = np.array(
+        [[0.5 * (an[0, 0] - an[1, 1]), an[0, 1]], [0.5 * (bn[0, 0] - bn[1, 1]), bn[0, 1]]]
+    )
+    d = ell.T @ c
+    k = ell.T @ ell
+    # g'(phi) = p cos(phi) + q sin(phi) + r cos(2 phi) + s sin(2 phi)
+    p, q, r, s = 2.0 * d[1], -2.0 * d[0], 2.0 * k[0, 1], k[1, 1] - k[0, 0]
+    quartic = [r - 1j * s, p - 1j * q, 0.0, p + 1j * q, r + 1j * s]
+    phis = np.append(np.angle(np.roots(quartic)), 0.0)
+    residual = c[:, None] + ell @ np.stack([np.cos(phis), np.sin(phis)])
+    return float(np.min(np.hypot(residual[0], residual[1])))
+
+
+def zero_set_gap(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> float:
+    """A proved lower bound on ||(Q_An(z), Q_Bn(z))|| over unit vectors z.
+
+    An and Bn are the unit-Frobenius forms the searches test residuals on,
+    so a gap above sqrt(2) * ZERO_TOL means no point can pass that test.
+    Each form is first scaled by its own power of two, so separate scaling
+    of A and B cannot overflow the norms.  For n = 2 the bound is the exact
+    minimum (`_plane_gap`).  Otherwise it is the smallest eigenvalue of the
+    element cos(phi) An + sin(phi) Bn at the angle `dissipativity.decide`
+    returns for a dissipative pair, or 0 when that element is not positive
+    definite, the pair is non-dissipative or the decision raises.  For
+    n >= 3 a definite element exists exactly when the joint zero set is {0}
+    (Calabi 1964); the decision's angle is the best of angles that include
+    the middle of every arc between singular angles, so it finds one.
+    """
+    if a.dim != b.dim:
+        raise ValueError("forms have mismatched dimensions")
+    (a,), _ = prescaled(a)
+    (b,), _ = prescaled(b)
+    an, bn = _normalized_matrix(a), _normalized_matrix(b)
+    if a.dim == 2:
+        return _plane_gap(an, bn)
+    rank = span_rank(a, b)
+    if rank == 0:
+        return 0.0
+    try:
+        verdict = decide(a, b, rank_profile(a, b, seed=seed) if rank == 2 else None)
+    except NumericalInconclusiveError:
+        return 0.0
+    if verdict.non_dissipative:
+        return 0.0
+    # cos(theta) A + sin(theta) B is a positive multiple of this element.
+    phi = np.arctan2(np.sin(verdict.theta) * b.frobenius(), np.cos(verdict.theta) * a.frobenius())
+    lowest = float(np.linalg.eigvalsh(np.cos(phi) * an + np.sin(phi) * bn)[0])
+    return max(lowest, 0.0)
+
+
+def _restarted_search(a, b, restarts, seed, attempt) -> WitnessSearch:
+    """Run attempt(k) for k = 0, 1, ... until one returns a witness.
+
+    The search ends EMPTY when `zero_set_gap` clears `_EMPTY_CUT`: for
+    n = 2 before the first restart, otherwise after the first one fails.
+    """
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
+    if a.dim == 2 and zero_set_gap(a, b, seed) > _EMPTY_CUT:
+        return WitnessSearch(None, 0, restarts, SearchStatus.EMPTY)
+    for k in range(restarts):
+        witness = attempt(k)
+        if witness is not None:
+            return WitnessSearch(witness, k + 1, restarts, SearchStatus.FOUND)
+        if k == 0 and a.dim != 2 and zero_set_gap(a, b, seed) > _EMPTY_CUT:
+            return WitnessSearch(None, 1, restarts, SearchStatus.EMPTY)
+    return WitnessSearch(None, restarts, restarts, SearchStatus.EXHAUSTED)
+
+
 def transversality_witness(
     a: SymmetricForm,
     b: SymmetricForm,
@@ -228,19 +341,21 @@ def transversality_witness(
         raise ValueError("forms have mismatched dimensions")
     threshold = TRANS_REL * (a.frobenius() + b.frobenius())
     n = a.dim
-    for k in range(restarts):
+
+    def attempt(k: int) -> WitnessResult | None:
         rng = rng_for(seed, 0x7A11, k)
         z = project_to_joint_zero(a, b, rng.standard_normal(n))
         if z is None:
-            continue
+            return None
         z = _polish(a, b, z)
         if z is None:
-            continue
+            return None
         margin = float(np.linalg.svd(np.column_stack([a.matrix @ z, b.matrix @ z]), compute_uv=False)[1])
         if margin > threshold:
-            witness = _witness_from_point(a, b, z, margin, k + 1, "transversality")
-            return WitnessSearch(witness, k + 1, restarts)
-    return WitnessSearch(None, restarts, restarts)
+            return _witness_from_point(a, b, z, margin, k + 1, "transversality")
+        return None
+
+    return _restarted_search(a, b, restarts, seed, attempt)
 
 
 def _tangent_component(jac: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -298,23 +413,36 @@ def bracket_witness(
         raise ValueError("forms have mismatched dimensions")
     threshold = BRACKET_REL * c.frobenius()
     n = a.dim
-    for k in range(restarts):
+
+    def attempt(k: int) -> WitnessResult | None:
         rng = rng_for(seed, 0xB7AC, k)
         z = project_to_joint_zero(a, b, rng.standard_normal(n))
         if z is None:
-            continue
+            return None
         value = abs(float(z @ c.matrix @ z))
         if value <= threshold:
             z, value = _hill_climb(a, b, c.matrix, z, threshold)
+        if value <= threshold:
+            return None
+        polished = _polish(a, b, z)
+        if polished is None:
+            return None
+        value = abs(float(polished @ c.matrix @ polished))
         if value > threshold:
-            polished = _polish(a, b, z)
-            if polished is None:
-                continue
-            value = abs(float(polished @ c.matrix @ polished))
-            if value > threshold:
-                witness = _witness_from_point(a, b, polished, value, k + 1, "bracket")
-                return WitnessSearch(witness, k + 1, restarts)
-    return WitnessSearch(None, restarts, restarts)
+            return _witness_from_point(a, b, polished, value, k + 1, "bracket")
+        return None
+
+    return _restarted_search(a, b, restarts, seed, attempt)
+
+
+def radical_status(radical: Subspace, structure: SymplecticStructure) -> RadicalStatus:
+    """TRIVIAL for a zero joint radical, else SYMPLECTIC or DEGENERATE by
+    whether the pairing restricts to a non-degenerate form on it."""
+    if radical.dim == 0:
+        return RadicalStatus.TRIVIAL
+    if is_symplectic_subspace(radical, structure).symplectic:
+        return RadicalStatus.SYMPLECTIC
+    return RadicalStatus.DEGENERATE
 
 
 def hypothesis_report(
@@ -353,12 +481,7 @@ def hypothesis_report(
     verdict = decide(a, b, profile)
 
     radical = joint_radical(a, b)
-    if radical.dim == 0:
-        status = RadicalStatus.TRIVIAL
-    elif is_symplectic_subspace(radical, structure).symplectic:
-        status = RadicalStatus.SYMPLECTIC
-    else:
-        status = RadicalStatus.DEGENERATE
+    status = radical_status(radical, structure)
 
     if minrank >= 3 and maxrank >= 17:
         branch = Branch.I

@@ -89,7 +89,9 @@ def test_witness_transversality_none_found_exit_zero(capsys, plane_file):
     code, report = run_json(capsys, "witness", plane_file, "--mode", "trans", "--restarts", "40")
     assert code == 0
     assert report["result"]["found"] is False
-    assert report["result"]["attempts"] == 40
+    assert report["result"]["status"] == "EMPTY"
+    assert report["result"]["attempts"] == 0
+    assert report["result"]["budget"] == 40
 
 
 def test_witness_bracket_mode_computes_c(capsys, quartet_file):
@@ -98,7 +100,33 @@ def test_witness_bracket_mode_computes_c(capsys, quartet_file):
     )
     assert code == 0
     assert report["result"]["found"] is False
+    assert report["result"]["status"] == "EXHAUSTED"
+    assert report["result"]["attempts"] == report["result"]["budget"] == 30
     assert any("C missing" in w for w in report["warnings"])
+
+
+def test_witness_text_mode_shows_status(capsys, plane_file):
+    code, out, err = run_cli(capsys, "witness", plane_file, "--restarts", "40", "--text")
+    assert code == 0
+    assert err == ""
+    assert "status: EMPTY" in out.splitlines()
+    assert "attempts: 0" in out.splitlines()
+
+
+@pytest.mark.parametrize("restarts", ["-5", "0"])
+def test_witness_rejects_non_positive_restarts(capsys, plane_file, restarts):
+    code, out, err = run_cli(capsys, "witness", plane_file, "--restarts", restarts)
+    assert code == 2
+    assert out == ""
+    assert f"input error: --restarts: expected a positive integer, got {restarts}" in err
+
+
+@pytest.mark.parametrize("restarts", ["-3", "0"])
+def test_fixtures_rejects_non_positive_restarts(capsys, restarts):
+    code, out, err = run_cli(capsys, "fixtures", "--restarts", restarts)
+    assert code == 2
+    assert out == ""
+    assert f"input error: --restarts: expected a positive integer, got {restarts}" in err
 
 
 def test_witness_bracket_mode_with_supplied_c(capsys, tmp_path):

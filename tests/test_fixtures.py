@@ -41,3 +41,19 @@ def test_fixture_verifies(fixture):
     report = verify_fixture(fixture, seeds=(0, 1, 2, 3, 4))
     failures = [c for c in report.checks if not c.passed]
     assert not failures, failures
+
+
+def test_plane_fixture_searches_are_proved_empty():
+    # The plane pairs' joint zero sets are {0}; the searches say so before
+    # running any restart, while the quartet search runs its whole budget.
+    by_key = {f.key: f for f in all_fixtures()}
+    for key in ("plane-rotated", "plane-sheared"):
+        report = verify_fixture(by_key[key], seeds=(0, 1), restarts=20)
+        searches = [c for c in report.checks if "search is empty" in c.name]
+        assert len(searches) == 4
+        for check in searches:
+            assert check.passed
+            assert check.detail == "proved empty after 0 of 20 restarts"
+    report = verify_fixture(by_key["quartet-nonspanning"], seeds=(0,), restarts=20)
+    searches = [c for c in report.checks if "search is empty" in c.name]
+    assert [c.detail for c in searches] == ["attempts 20 of 20"]

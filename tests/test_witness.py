@@ -2,15 +2,23 @@
 
 Every returned witness is re-verified here from scratch: residuals of the
 unit-Frobenius forms at the point, and the certified margin recomputed
-directly.  Emptiness fixtures assert NONE_FOUND across several seeds.
+directly.  Emptiness fixtures assert that no witness is found across several
+seeds, and whether the search proved the set empty (EMPTY) or ran out of
+restarts (EXHAUSTED).  The emptiness proof `zero_set_gap` is checked against
+a dense angular sample for n = 2 and never fires on a pair with a joint zero.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsolv import (
     Branch,
     RadicalStatus,
+    SearchStatus,
     SymmetricForm,
     SymplecticStructure,
     bracket_witness,
@@ -19,11 +27,13 @@ from localsolv import (
     poisson_bracket,
     project_to_joint_zero,
     transversality_witness,
+    zero_set_gap,
 )
 from localsolv._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL
 from conftest import (
     branch_one_instance,
     branch_two_instance,
+    haar_congruence,
     random_symmetric,
     rank2_hyperbolic,
     traceless_pair,
@@ -121,7 +131,9 @@ def test_transversality_none_found_plane_pair():
     for seed in range(5):
         search = transversality_witness(a, b, restarts=50, seed=seed)
         assert not search.found
-        assert search.attempts == search.budget == 50
+        assert search.status is SearchStatus.EMPTY
+        assert search.attempts == 0
+        assert search.budget == 50
 
 
 def test_transversality_none_found_psd_pair():
@@ -180,6 +192,8 @@ def test_bracket_witness_none_on_vanishing_fixture():
     for seed in range(5):
         search = bracket_witness(a, b, c, restarts=60, seed=seed)
         assert not search.found
+        assert search.status is SearchStatus.EXHAUSTED
+        assert search.attempts == search.budget == 60
 
 
 def test_hypothesis_report_quartet():
@@ -259,3 +273,189 @@ def test_containment_probe_vacuous_containment():
     b = SymmetricForm(-np.eye(3))
     probe = containment_probe(a, b, samples=500)
     assert probe.contained_evidence
+
+
+# -- proved-empty searches --------------------------------------------------
+
+
+@functools.cache
+def sampled_products(samples=200_000):
+    """(x^2, 2xy, y^2) at evenly spaced unit vectors (x, y) of the half circle."""
+    t = np.linspace(0.0, np.pi, samples, endpoint=False)
+    x, y = np.cos(t), np.sin(t)
+    return x * x, 2.0 * x * y, y * y
+
+
+def dense_plane_gap(a, b):
+    """Smallest squared residual norm of the unit-Frobenius pair over sampled angles."""
+    xx, xy2, yy = sampled_products()
+    an = a.matrix / a.frobenius()
+    bn = b.matrix / b.frobenius()
+    qa = an[0, 0] * xx + an[0, 1] * xy2 + an[1, 1] * yy
+    qb = bn[0, 0] * xx + bn[0, 1] * xy2 + bn[1, 1] * yy
+    return float(np.min(qa * qa + qb * qb))
+
+
+def planted_zero_pair(n, rng):
+    """Random pair with a common zero at a random unit vector."""
+    z = rng.standard_normal(n)
+    z /= np.linalg.norm(z)
+    forms = []
+    for _ in range(2):
+        m = random_symmetric(n, rng)
+        forms.append(SymmetricForm(m - (z @ m @ z) * np.outer(z, z)))
+    return tuple(forms)
+
+
+def in_random_coordinates(a, b, rng):
+    t = haar_congruence(a.dim, rng)
+    return SymmetricForm(t.T @ a.matrix @ t), SymmetricForm(t.T @ b.matrix @ t)
+
+
+def definite_pair(n, rng):
+    """Pair whose span holds a positive-definite element, in random coordinates."""
+    g = rng.standard_normal((n, n))
+    a = SymmetricForm(g @ g.T + 0.1 * np.eye(n))
+    return in_random_coordinates(a, SymmetricForm(random_symmetric(n, rng)), rng)
+
+
+def both_searches(a, b, restarts, seed=0):
+    c = SymmetricForm(np.eye(a.dim))
+    return (
+        transversality_witness(a, b, restarts=restarts, seed=seed),
+        bracket_witness(a, b, c, restarts=restarts, seed=seed),
+    )
+
+
+def test_plane_gap_matches_dense_sampling():
+    # The exact minimum may never exceed a sampled one.  Near a zero of the
+    # norm, sampling at this step can overshoot its minimum by more than 1e-8
+    # (the norm has a kink there); the squared norm is smooth, so the squared
+    # gap is compared.
+    rng = np.random.default_rng(0x6A9)
+    for _ in range(1000):
+        a = SymmetricForm(random_symmetric(2, rng))
+        b = SymmetricForm(random_symmetric(2, rng))
+        gap, dense = zero_set_gap(a, b), dense_plane_gap(a, b)
+        assert gap <= np.sqrt(dense) + 1e-14
+        assert abs(gap**2 - dense) <= 1e-8
+
+
+def test_plane_gap_of_the_fixture_pairs():
+    a = SymmetricForm(np.diag([1.0, -1.0]))
+    rotated = rank2_hyperbolic(2)
+    sheared = SymmetricForm([[1.0, -0.5], [-0.5, -1.0]])
+    # Both pairs are traceless, so the residual ellipse is centred at 0.
+    assert zero_set_gap(a, rotated) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    assert zero_set_gap(a, sheared) ** 2 == pytest.approx(dense_plane_gap(a, sheared), abs=1e-8)
+
+
+def test_common_zero_line_is_never_empty():
+    # (1, 1) is a common zero of x^2 - y^2 and x^2 + 2xy - 3y^2, where the
+    # gradients are parallel: no transversality witness exists, but neither
+    # may the search call the set empty.
+    a = SymmetricForm(np.diag([1.0, -1.0]))
+    b = SymmetricForm([[1.0, 1.0], [1.0, -3.0]])
+    assert zero_set_gap(a, b) <= 1e-12
+    for seed in range(3):
+        for search in both_searches(a, b, restarts=5, seed=seed):
+            assert search.status is SearchStatus.EXHAUSTED
+            assert search.attempts == search.budget == 5
+
+
+def test_gap_below_the_cut_is_searched():
+    # Adding 4.5e-8 times the identity to B lifts the common zero to a gap of
+    # about 1e-8: far too large for any residual test, yet below the cut.
+    a = SymmetricForm(np.diag([1.0, -1.0]))
+    b = SymmetricForm(np.array([[1.0, 1.0], [1.0, -3.0]]) + 4.5e-8 * np.eye(2))
+    assert 5e-9 < zero_set_gap(a, b) < 2e-8
+    for search in both_searches(a, b, restarts=5):
+        assert search.status is SearchStatus.EXHAUSTED
+        assert search.attempts == 5
+
+
+@pytest.mark.parametrize("n", [3, 10, 40])
+def test_definite_pairs_are_empty_in_both_modes(n):
+    rng = np.random.default_rng([0xDEF, n])
+    a, b = definite_pair(n, rng)
+    assert zero_set_gap(a, b) > 1e-6
+    for search in both_searches(a, b, restarts=30):
+        assert not search.found
+        assert search.status is SearchStatus.EMPTY
+        assert search.attempts == 1
+        assert search.budget == 30
+
+
+def test_non_dissipative_pairs_are_never_empty():
+    # By Calabi, for n >= 3 a non-dissipative pair has joint zeros.
+    rng = np.random.default_rng(0xCA1)
+    for k in range(200):
+        n = 3 + k % 10
+        a, b = in_random_coordinates(*traceless_pair(n, rng), rng)
+        assert zero_set_gap(a, b, seed=k) == 0.0
+        for search in both_searches(a, b, restarts=2, seed=k):
+            assert search.status is not SearchStatus.EMPTY
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+def test_planted_joint_zero_is_never_empty_property(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = planted_zero_pair(n, rng)
+    assert zero_set_gap(a, b) <= 1e-9
+    for search in both_searches(a, b, restarts=2):
+        assert search.status is not SearchStatus.EMPTY
+
+
+def scale_probe_pairs():
+    rng = np.random.default_rng(0x5CA)
+    plane = SymmetricForm(np.diag([1.0, -1.0]))
+    return [
+        (plane, rank2_hyperbolic(2)),
+        (plane, SymmetricForm([[1.0, -0.5], [-0.5, -1.0]])),
+        (plane, SymmetricForm([[1.0, 1.0], [1.0, -3.0]])),
+        definite_pair(3, rng),
+        definite_pair(10, rng),
+        traceless_pair(5, rng),
+        planted_zero_pair(4, rng),
+    ]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_search_status_is_scale_invariant(scale):
+    for a, b in scale_probe_pairs():
+        base = [s.status for s in both_searches(a, b, restarts=3)]
+        a2, b2 = SymmetricForm(scale * a.matrix), SymmetricForm(scale * b.matrix)
+        assert [s.status for s in both_searches(a2, b2, restarts=3)] == base
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_gap_is_invariant_under_separate_scaling(scale):
+    for a, b in scale_probe_pairs():
+        gap = zero_set_gap(a, b)
+        for sa, sb in ((scale, scale), (scale, 1.0), (1.0, scale), (scale, 1.0 / scale)):
+            a2, b2 = SymmetricForm(sa * a.matrix), SymmetricForm(sb * b.matrix)
+            gap2 = zero_set_gap(a2, b2)
+            if a.dim == 2:
+                assert gap2 == pytest.approx(gap, rel=1e-9, abs=1e-12)
+            else:
+                # a lower bound read at one angle of the pencil, which moves
+                assert (gap2 > 1e-6) == (gap > 1e-6)
+            if gap > 1e-6:
+                # no witness exists, so the proof decides the status alone
+                for search in both_searches(a2, b2, restarts=3):
+                    assert search.status is SearchStatus.EMPTY
+
+
+def test_found_search_has_found_status(rng):
+    a, b = traceless_pair(6, rng)
+    search = transversality_witness(a, b)
+    assert search.found
+    assert search.status is SearchStatus.FOUND
+    assert search.attempts == search.witness.attempts
+
+
+def test_negative_restart_budget_is_rejected():
+    a, b = quartet_pair()
+    with pytest.raises(ValueError, match="restarts"):
+        transversality_witness(a, b, restarts=-1)
