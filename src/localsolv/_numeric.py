@@ -42,39 +42,33 @@ def rank_tolerance(singular_values: np.ndarray, shape) -> float:
     return RANK_REL * float(singular_values[0]) * max(shape)
 
 
-def numerical_rank(matrix: np.ndarray, tol: float | None = None) -> int:
+def numerical_rank(matrix: np.ndarray) -> int:
     """Count singular values above the relative cutoff."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.size == 0:
         return 0
     s = np.linalg.svd(matrix, compute_uv=False)
-    if tol is None:
-        tol = rank_tolerance(s, matrix.shape)
-    return int(np.count_nonzero(s > tol))
+    return int(np.count_nonzero(s > rank_tolerance(s, matrix.shape)))
 
 
-def nullspace(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
+def nullspace(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of `matrix`."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     n = matrix.shape[1]
     if matrix.size == 0 or not np.any(matrix):
         return np.eye(n)
     _, s, vh = np.linalg.svd(matrix)
-    if tol is None:
-        tol = rank_tolerance(s, matrix.shape)
-    rank = int(np.count_nonzero(s > tol))
+    rank = int(np.count_nonzero(s > rank_tolerance(s, matrix.shape)))
     return vh[rank:].T.copy()
 
 
-def orthonormal_columns(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
+def orthonormal_columns(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of `matrix`."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.shape[1] == 0 or not np.any(matrix):
         return np.zeros((matrix.shape[0], 0))
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    if tol is None:
-        tol = rank_tolerance(s, matrix.shape)
-    rank = int(np.count_nonzero(s > tol))
+    rank = int(np.count_nonzero(s > rank_tolerance(s, matrix.shape)))
     return u[:, :rank].copy()
 
 

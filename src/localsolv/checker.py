@@ -50,6 +50,9 @@ __all__ = [
 
 _IDENTITY_TOL = 1e-10
 
+# Seeded random center directions tried after the axes when mu0 is absent.
+_MU_BUDGET = 500
+
 
 class VerdictOutcome(enum.Enum):
     NOT_LOCALLY_SOLVABLE = "NOT_LOCALLY_SOLVABLE"
@@ -219,7 +222,7 @@ def heisenberg_verdict(spec: HeisenbergOperatorSpec, seed: int = 42) -> Verdict:
     return _assemble(hyp, notes, mu0=(1.0,))
 
 
-def _search_mu(spec: TwoStepGroupSpec, seed: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _search_mu(spec: TwoStepGroupSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Find mu with sum(mu_i J_i) non-degenerate; axes first, then random."""
     ell, m = spec.ell, spec.m
 
@@ -242,7 +245,7 @@ def _search_mu(spec: TwoStepGroupSpec, seed: int, budget: int) -> tuple[np.ndarr
         if nondegenerate(j_mu):
             return mu, j_mu
     rng = rng_for(seed, 0x2507)
-    for _ in range(budget):
+    for _ in range(_MU_BUDGET):
         mu = rng.standard_normal(ell)
         norm = float(np.linalg.norm(mu))
         if norm == 0.0:
@@ -252,18 +255,19 @@ def _search_mu(spec: TwoStepGroupSpec, seed: int, budget: int) -> tuple[np.ndarr
         if nondegenerate(j_mu):
             return mu, j_mu
     raise MuSearchError(
-        f"no direction with a non-degenerate combined commutator matrix found in {budget} draws"
+        "no direction with a non-degenerate combined commutator matrix found in "
+        f"{_MU_BUDGET} draws"
     )
 
 
-def two_step_verdict(spec: TwoStepGroupSpec, seed: int = 42, mu_budget: int = 500) -> Verdict:
+def two_step_verdict(spec: TwoStepGroupSpec, seed: int = 42) -> Verdict:
     """Verdict for a 2-step group through one non-degenerate center direction.
 
     When `mu0` is absent the direction is searched (axis vectors first, then
     seeded unit Gaussians); the radical test and the bracket both use the
     pairing induced by the combined commutator matrix at the found direction.
     """
-    mu, j_mu = _search_mu(spec, seed, mu_budget)
+    mu, j_mu = _search_mu(spec, seed)
     structure = SymplecticStructure.from_bracket_matrix(j_mu)
     hyp = hypothesis_report(spec.a_re, spec.a_im, structure, seed=seed)
     notes = [

@@ -546,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, with_input=True, witness_flags=False, restarts_default=200):
+    def add(name, help_text, with_input=True, witness_flags=False):
         p = sub.add_parser(name, help=help_text)
         if with_input:
             p.add_argument("input", help="path to the JSON input file")
@@ -555,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if witness_flags:
             p.add_argument("--mode", choices=["trans", "bracket"], default="trans")
         if name in ("witness", "fixtures"):
-            p.add_argument("--restarts", type=int, default=restarts_default)
+            p.add_argument("--restarts", type=int, default=200)
         return p
 
     add("bracket", "Poisson bracket of the two forms, both sign conventions")

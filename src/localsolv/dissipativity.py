@@ -12,9 +12,12 @@ angle and at one point of each arc between them (Guo-Higham-Tisseur 2009
 argue the same way for definite pairs).  A dense directional eigenvalue scan
 (`min_eig_scan`) survives only as the diagnostic `extreme_min_eig` of
 `is_non_dissipative`; no decision reads it.  Both entry points scale the
-pair by one power of two first (`forms.prescaled`).  The certificate comes
-from alternating projections onto the trace-one semidefinite simplex and
-the trace-constraint plane.
+pair by one power of two first (`forms.prescaled`).  The certificate is
+built in closed form from support points of the joint numerical range
+{(z.A.z, z.B.z) : |z| = 1}, which the extreme eigenvectors of the pencil
+elements give (Brickman 1961): once such points surround the origin, a
+convex combination of their rank-one projectors plus a multiple of the
+identity annihilates both traces.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ __all__ = [
     "trace_certificate",
     "trace_normalize",
 ]
+
+# `eigh` calls the certificate's support search may spend.
+_SUPPORT_CALLS = 32
 
 
 class Dissipativity(enum.Enum):
@@ -118,7 +124,7 @@ class CertificateOutcome:
     certificate: TraceCertificate | None = None
     dissipative_theta: float | None = None
     iterations: int = 0
-    # The dissipativity decision taken before the search (pairs only).
+    # The dissipativity decision taken before the search.
     verdict: DissipativityVerdict | None = None
 
     @property
@@ -281,10 +287,10 @@ def decide(
     return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, math.ldexp(best_value, e))
 
 
-def _scan_maximum(a: SymmetricForm, b: SymmetricForm, grid_size: int) -> float:
+def _scan_maximum(a: SymmetricForm, b: SymmetricForm) -> float:
     """Maximum over the circle of the smallest eigenvalue: a grid scan refined
     by golden-section maximization in every cell holding a local maximum."""
-    profile = min_eig_scan(a, b, grid_size)
+    profile = min_eig_scan(a, b)
     thetas = profile.full_thetas
     values = profile.full_min_eigs
     n = len(thetas)
@@ -303,14 +309,12 @@ def _scan_maximum(a: SymmetricForm, b: SymmetricForm, grid_size: int) -> float:
     return best
 
 
-def is_non_dissipative(
-    a: SymmetricForm, b: SymmetricForm, grid_size: int = 256
-) -> DissipativityVerdict:
+def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdict:
     """Decide whether any nonzero pencil element is positive semidefinite.
 
     `kind` and `theta` come from `decide` on the drops of `rank_profile`.
     `extreme_min_eig` is a diagnostic that no decision reads: the maximum
-    over the circle of the smallest eigenvalue, refined from a `grid_size`
+    over the circle of the smallest eigenvalue, refined from a 256-angle
     scan (`_scan_maximum`) and taken together with the best value at the
     decision's angles, so a DISSIPATIVE report never shows a value below
     -`eig_slack`.  Pairs spanning a single direction are decided from the
@@ -326,101 +330,97 @@ def is_non_dissipative(
     if rank == 1:
         return decide(a, b, None)
     verdict = decide(a, b, rank_profile(a, b))
-    scanned = math.ldexp(_scan_maximum(sa, sb, grid_size), e)
+    scanned = math.ldexp(_scan_maximum(sa, sb), e)
     return replace(verdict, extreme_min_eig=max(verdict.extreme_min_eig, scanned))
 
 
-def _project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    u = np.sort(w)[::-1]
-    cumulative = np.cumsum(u)
-    indices = np.arange(1, len(u) + 1)
-    feasible = np.nonzero(u + (1.0 - cumulative) / indices > 0.0)[0]
-    rho = feasible[-1]
-    shift = (1.0 - cumulative[rho]) / (rho + 1.0)
-    return np.maximum(w + shift, 0.0)
+def _surrounding_points(a: SymmetricForm, b: SymmetricForm):
+    """Unit vectors z_j whose points w_j = (z_j.A.z_j, z_j.B.z_j) surround 0.
 
-
-def _project_spectahedron(p: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(p)
-    w = _project_simplex(w)
-    return (u * w) @ u.T
-
-
-def trace_certificate(
-    a: SymmetricForm,
-    b: SymmetricForm,
-    *more: SymmetricForm,
-    max_iterations: int = 10_000,
-) -> CertificateOutcome:
-    """Search for Q > 0 with tr(Q F Q) = 0 for every supplied form.
-
-    The search alternates projections between the set {P psd, tr P = 1} and
-    the affine set {tr(P F) = 0 for all F, tr P = 1}, then takes Q as the
-    square root of the limit after a strict-interior push.  For a pair the
-    dissipative case is detected up front and reported as infeasible together
-    with the offending direction, and every pair outcome carries that decision
-    as `verdict`; spans of more than two forms skip that pre-check and can
-    only end in a certificate or an inconclusive report.
+    The bottom and top eigenvectors of M(theta) give the points of the joint
+    numerical range on its supporting lines with outer normals theta + pi
+    and theta.  After theta = k pi / 4 (k = 0..3), M is taken at the middle
+    of the widest empty angle between the points' polar angles while that
+    angle is pi or more; for a non-dissipative pair the new top point lands
+    strictly inside it.  Angles are tested, not polygon edges, because a
+    polygonal range gives the same vertex for many theta.  Returns the
+    vectors, the points and their polar angles, sorted by angle, and the
+    number of `eigh` calls, or None after `_SUPPORT_CALLS` calls.
     """
-    constraint_forms = [a, b, *more]
-    dims = {f.dim for f in constraint_forms}
-    if len(dims) > 1:
-        raise ValueError("forms have mismatched dimensions")
-    verdict = None
-    if len(constraint_forms) == 2:
-        verdict = is_non_dissipative(a, b)
-        if not verdict.non_dissipative:
-            return CertificateOutcome(
-                CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, verdict=verdict
-            )
-    n = a.dim
-    tol = CERT_REL * sum(f.frobenius() for f in constraint_forms)
-    if tol == 0.0:
-        raise ValueError("all forms vanish; the certificate problem is undefined")
+    zs = np.empty((a.dim, 0))
+    pending = [k * math.pi / 4.0 for k in range(4)]
+    for calls in range(1, _SUPPORT_CALLS + 1):
+        _, v = np.linalg.eigh(_combination(a, b, pending.pop()))
+        zs = np.column_stack([zs, v[:, 0], v[:, -1]])
+        if pending:
+            continue
+        points = np.stack([np.sum(zs * (f.matrix @ zs), axis=0) for f in (a, b)])
+        angles = np.arctan2(points[1], points[0])
+        order = np.argsort(angles)
+        angles = angles[order]
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
+        k = int(np.argmax(gaps))
+        if gaps[k] < math.pi:
+            return zs[:, order], points[:, order], angles, calls
+        pending.append(float(angles[k] + 0.5 * gaps[k]))
+    return None
 
-    mats = [f.matrix for f in constraint_forms] + [np.eye(n)]
-    targets = np.array([0.0] * len(constraint_forms) + [1.0])
-    gram = np.array([[np.tensordot(x, y) for y in mats] for x in mats])
 
-    def affine_residual(p: np.ndarray) -> np.ndarray:
-        return np.array([np.tensordot(p, m) for m in mats]) - targets
+def _cross(u: np.ndarray, v: np.ndarray) -> float:
+    return float(u[0] * v[1] - u[1] * v[0])
 
-    p = np.eye(n) / n
-    residual = affine_residual(p)
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        coeffs = np.linalg.solve(gram, residual)
-        p = p - sum(c * m for c, m in zip(coeffs, mats))
-        p = _project_spectahedron(p)
-        residual = affine_residual(p)
-        if np.max(np.abs(residual)) <= 0.25 * tol:
-            converged = True
-            break
-    if not converged:
+
+def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
+    """Q > 0 with tr(Q A Q) = tr(Q B Q) = 0, in closed form from support points.
+
+    A dissipative pair is INFEASIBLE with its PSD direction; every outcome
+    carries the dissipativity decision as `verdict`.  Otherwise, on the
+    prescaled pair, let tau = (tr A, tr B) / n; the ray from 0 along -tau
+    leaves the polygon of the `_surrounding_points` at distance r, at
+    l w_i + (1 - l) w_k.  P = (1 - eps) (l z_i z_i^T + (1 - l) z_k z_k^T)
+    + (eps / n) I with eps = r / (r + |tau|) has tr(P A) = tr(P B) = 0 and
+    lambda_min(P) >= eps / n (a traceless pair gets P = I / n).  Q = P^(1/2)
+    is accepted when both residuals are within `cert_tolerance` and P > 0;
+    `iterations` counts the `eigh` calls of the support search.
+    """
+    verdict = is_non_dissipative(a, b)
+    if not verdict.non_dissipative:
         return CertificateOutcome(
-            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=iterations, verdict=verdict
+            CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, verdict=verdict
         )
-
-    # Strict-interior push keeps both trace residuals within tolerance while
-    # bounding the smallest eigenvalue of P away from zero.
-    trace_shift = sum(abs(np.trace(f.matrix)) / n for f in constraint_forms)
-    push = min(1e-9, 0.25 * tol / max(trace_shift, 1e-300))
-    p = (1.0 - push) * p + (push / n) * np.eye(n)
-
-    w, u = np.linalg.eigh(p)
-    q = (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
-    residual_a = abs(float(np.tensordot(p, a.matrix)))
-    residual_b = abs(float(np.tensordot(p, b.matrix)))
-    worst = max(abs(float(np.tensordot(p, f.matrix))) for f in constraint_forms)
-    if worst > tol or w[0] <= 0.0:
+    (a, b), e = prescaled(a, b)
+    found = _surrounding_points(a, b)
+    if found is None:
         return CertificateOutcome(
-            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=iterations, verdict=verdict
+            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=_SUPPORT_CALLS, verdict=verdict
         )
+    zs, points, angles, calls = found
+    tau = np.array([np.trace(a.matrix), np.trace(b.matrix)]) / a.dim
+    size = math.hypot(*tau)
+    p = np.eye(a.dim) / a.dim
+    if size > 0.0:
+        d = -tau / size
+        i = int(np.searchsorted(angles, math.atan2(d[1], d[0]), side="right")) - 1
+        k = (i + 1) % len(angles)
+        u, v = points[:, i], points[:, k]
+        # r d = (cross(d, v) u + cross(u, d) v) / span is on the edge from u to v
+        span = _cross(d, v - u)
+        r = _cross(u, v) / span
+        eps = r / (r + size)
+        zi, zk = zs[:, i], zs[:, k]
+        edge = _cross(d, v) * np.outer(zi, zi) + _cross(u, d) * np.outer(zk, zk)
+        p = (1.0 - eps) / span * edge + eps * p
+    w, vecs = np.linalg.eigh(p)
+    residuals = [abs(float(np.tensordot(p, f.matrix))) for f in (a, b)]
+    if max(residuals) > cert_tolerance(a, b) or w[0] <= 0.0:
+        return CertificateOutcome(
+            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=calls, verdict=verdict
+        )
+    q = (vecs * np.sqrt(w)) @ vecs.T
+    residual_a, residual_b = (math.ldexp(x, e) for x in residuals)
     certificate = TraceCertificate(q, residual_a, residual_b, float(np.sqrt(w[0])))
     return CertificateOutcome(
-        CertificateStatus.FOUND, certificate, iterations=iterations, verdict=verdict
+        CertificateStatus.FOUND, certificate, iterations=calls, verdict=verdict
     )
 
 
@@ -440,7 +440,7 @@ def trace_normalize(
         )
     if outcome.status is CertificateStatus.NUMERICAL_INCONCLUSIVE:
         raise NumericalInconclusiveError(
-            f"certificate search stalled after {outcome.iterations} iterations"
+            f"no certificate after {outcome.iterations} eigh calls of the support search"
         )
     q = outcome.certificate.q
     return (

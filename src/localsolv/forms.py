@@ -21,6 +21,7 @@ answered by this library are invariant under that flip.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,11 +84,19 @@ class SymmetricForm:
         return frob(self.matrix)
 
     def normalized(self) -> "SymmetricForm":
-        """Unit-Frobenius rescaling; the zero form is returned unchanged."""
-        norm = self.frobenius()
-        if norm == 0.0:
-            return self
-        return SymmetricForm(self.matrix / norm)
+        """Unit-Frobenius rescaling; the zero form is returned unchanged.
+
+        The form is scaled by its power of two first (`prescaled`), so the
+        norm neither overflows nor underflows; in between that changes no bit.
+        Forms are immutable, so the result is kept for later calls.
+        """
+        return self._unit
+
+    @functools.cached_property
+    def _unit(self) -> "SymmetricForm":
+        (form,), _ = prescaled(self)
+        norm = form.frobenius()
+        return SymmetricForm(form.matrix / norm) if norm > 0.0 else self
 
     def rank(self) -> int:
         return numerical_rank(self.matrix)
@@ -95,10 +104,6 @@ class SymmetricForm:
     @staticmethod
     def zero(n: int) -> "SymmetricForm":
         return SymmetricForm(np.zeros((n, n)))
-
-    @staticmethod
-    def from_diagonal(entries) -> "SymmetricForm":
-        return SymmetricForm(np.diag(np.asarray(entries, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -325,11 +330,12 @@ def congruence(form: SymmetricForm, t: np.ndarray) -> SymmetricForm:
 
 
 def span_rank(*forms: SymmetricForm) -> int:
-    """Dimension of the linear span of the given forms (vectorized)."""
+    """Dimension of the linear span of the given forms, each scaled to unit
+    Frobenius norm first, so that their separate scales do not matter."""
     if not forms:
         return 0
     _check_form_dims(*forms)
-    stacked = np.column_stack([f.matrix.ravel() for f in forms])
+    stacked = np.column_stack([f.normalized().matrix.ravel() for f in forms])
     return numerical_rank(stacked)
 
 

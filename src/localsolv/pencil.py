@@ -95,12 +95,11 @@ def _marginal(s: np.ndarray, rank: int) -> bool:
     return rank > 0 and cut < s[rank - 1] <= 10.0 * cut
 
 
-def rank_at(a: SymmetricForm, b: SymmetricForm, theta: float, tol: float | None = None) -> int:
+def rank_at(a: SymmetricForm, b: SymmetricForm, theta: float) -> int:
     """Numerical rank of cos(theta) A + sin(theta) B."""
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
-    s = _spectrum(a, b, theta)
-    return _rank(s) if tol is None else int(np.count_nonzero(s > tol))
+    return _rank(_spectrum(a, b, theta))
 
 
 def _probe(

@@ -33,10 +33,9 @@ from .forms import (
     joint_radical,
     is_symplectic_subspace,
     poisson_bracket,
-    prescaled,
     span_rank,
 )
-from .pencil import rank_profile
+from .pencil import pencil_element, rank_profile
 
 __all__ = [
     "WitnessResult",
@@ -160,11 +159,6 @@ class HypothesisReport:
     notes: tuple[str, ...] = ()
 
 
-def _normalized_matrix(form: SymmetricForm) -> np.ndarray:
-    norm = form.frobenius()
-    return form.matrix / norm if norm > 0.0 else form.matrix
-
-
 def _residual(an, bn, z) -> np.ndarray:
     return np.array([z @ an @ z, z @ bn @ z])
 
@@ -201,7 +195,7 @@ def project_to_joint_zero(
     """
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
-    an, bn = _normalized_matrix(a), _normalized_matrix(b)
+    an, bn = a.normalized().matrix, b.normalized().matrix
     z = unit_vector(np.asarray(z0, dtype=float))
     for _ in range(max_iterations):
         r = _residual(an, bn, z)
@@ -235,7 +229,7 @@ def _polish(a: SymmetricForm, b: SymmetricForm, z: np.ndarray) -> np.ndarray | N
 
 
 def _witness_from_point(a, b, z, margin, attempts, kind) -> WitnessResult:
-    an, bn = _normalized_matrix(a), _normalized_matrix(b)
+    an, bn = a.normalized().matrix, b.normalized().matrix
     return WitnessResult(
         point=z,
         residual_a=abs(float(z @ an @ z)),
@@ -275,36 +269,35 @@ def zero_set_gap(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> float:
 
     An and Bn are the unit-Frobenius forms the searches test residuals on,
     so a gap above sqrt(2) * ZERO_TOL means no point can pass that test.
-    Each form is first scaled by its own power of two, so separate scaling
-    of A and B cannot overflow the norms.  For n = 2 the bound is the exact
-    minimum (`_plane_gap`).  Otherwise it is the smallest eigenvalue of the
-    element cos(phi) An + sin(phi) Bn at the angle `dissipativity.decide`
-    returns for a dissipative pair, or 0 when that element is not positive
-    definite, the pair is non-dissipative or the decision raises.  For
+    For n = 2 the bound is the exact minimum (`_plane_gap`).  Otherwise it
+    is the smallest eigenvalue of cos(phi) An + sin(phi) Bn at the angle phi
+    that `dissipativity.decide` returns when it finds (An, Bn) dissipative,
+    or 0 when that element is not positive definite, the pair is
+    non-dissipative or the decision raises.  For
     n >= 3 a definite element exists exactly when the joint zero set is {0}
     (Calabi 1964); the decision's angle is the best of angles that include
     the middle of every arc between singular angles, so it finds one.
     """
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
-    (a,), _ = prescaled(a)
-    (b,), _ = prescaled(b)
-    an, bn = _normalized_matrix(a), _normalized_matrix(b)
+    an, bn = a.normalized(), b.normalized()
     if a.dim == 2:
-        return _plane_gap(an, bn)
-    rank = span_rank(a, b)
+        return _plane_gap(an.matrix, bn.matrix)
+    rank = span_rank(an, bn)
     if rank == 0:
         return 0.0
     try:
-        verdict = decide(a, b, rank_profile(a, b, seed=seed) if rank == 2 else None)
+        verdict = decide(an, bn, rank_profile(an, bn, seed=seed) if rank == 2 else None)
     except NumericalInconclusiveError:
         return 0.0
     if verdict.non_dissipative:
         return 0.0
-    # cos(theta) A + sin(theta) B is a positive multiple of this element.
-    phi = np.arctan2(np.sin(verdict.theta) * b.frobenius(), np.cos(verdict.theta) * a.frobenius())
-    lowest = float(np.linalg.eigvalsh(np.cos(phi) * an + np.sin(phi) * bn)[0])
+    lowest = float(np.linalg.eigvalsh(pencil_element(an, bn, verdict.theta).matrix)[0])
     return max(lowest, 0.0)
+
+
+def _second_singular(u: np.ndarray, v: np.ndarray) -> float:
+    return float(np.linalg.svd(np.column_stack([u, v]), compute_uv=False)[1])
 
 
 def _restarted_search(a, b, restarts, seed, attempt) -> WitnessSearch:
@@ -334,12 +327,14 @@ def transversality_witness(
 ) -> WitnessSearch:
     """Search for a joint zero where the two gradients are independent.
 
-    The margin is the second singular value of [Az | Bz]; a witness is
-    accepted once it clears 1e-6 * (||A||_F + ||B||_F).
+    A witness is accepted once the second singular value of [An z | Bn z],
+    for the unit-Frobenius forms, clears 2e-6, so the acceptance does not
+    depend on the forms' scales; the reported margin is the second singular
+    value of [Az | Bz] at the forms' own scale.
     """
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
-    threshold = TRANS_REL * (a.frobenius() + b.frobenius())
+    an, bn = a.normalized().matrix, b.normalized().matrix
     n = a.dim
 
     def attempt(k: int) -> WitnessResult | None:
@@ -350,8 +345,8 @@ def transversality_witness(
         z = _polish(a, b, z)
         if z is None:
             return None
-        margin = float(np.linalg.svd(np.column_stack([a.matrix @ z, b.matrix @ z]), compute_uv=False)[1])
-        if margin > threshold:
+        if _second_singular(an @ z, bn @ z) > 2.0 * TRANS_REL:
+            margin = _second_singular(a.matrix @ z, b.matrix @ z)
             return _witness_from_point(a, b, z, margin, k + 1, "transversality")
         return None
 
@@ -365,7 +360,7 @@ def _tangent_component(jac: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 def _hill_climb(a, b, c_matrix, z, threshold):
     """Projected gradient ascent of |Q_C| along the joint zero set."""
-    an, bn = _normalized_matrix(a), _normalized_matrix(b)
+    an, bn = a.normalized().matrix, b.normalized().matrix
     value = abs(float(z @ c_matrix @ z))
     step = 0.1
     for _ in range(_HILL_CLIMB_STEPS):

@@ -70,6 +70,17 @@ def test_heisenberg_branch_one_not_locally_solvable():
     assert verdict.condition_c is Branch.I
 
 
+def test_heisenberg_verdict_survives_scaling_one_form():
+    # A, B and their bracket C are independent at any relative scale of A
+    d = 9
+    a, b = branch_one_instance(2 * d, seed=0)
+    twin = heisenberg_verdict(HeisenbergOperatorSpec(d, a, b))
+    scaled = heisenberg_verdict(HeisenbergOperatorSpec(d, SymmetricForm(1e6 * a.matrix), b))
+    assert twin.outcome is VerdictOutcome.NOT_LOCALLY_SOLVABLE
+    assert scaled.outcome is twin.outcome
+    assert scaled.condition_b and scaled.condition_c is twin.condition_c
+
+
 def test_verdict_invariant_outcome_matches_conditions():
     cases = [
         HeisenbergOperatorSpec(2, *(SymmetricForm(m) for m in quartet_matrices())),

@@ -85,6 +85,28 @@ def test_dissipativity_command(capsys, plane_file):
     assert np.linalg.eigvalsh(q)[0] > 0
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e160, 1e300])
+def test_dissipativity_certificate_at_extreme_scales(capsys, tmp_path, s):
+    # angles 0, 2.1, 4.2 with radii 1, 2, 1.5: non-dissipative, with traces
+    phi, r = np.array([0.0, 2.1, 4.2]), np.array([1.0, 2.0, 1.5])
+    t = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, -0.2], [0.4, 0.0, 1.0]])
+    a = t.T @ np.diag(r * np.cos(phi)) @ t
+    b = t.T @ np.diag(r * np.sin(phi)) @ t
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"n": 3, "A": (s * a).tolist(), "B": (s * b).tolist()}))
+    code, report = run_json(capsys, "dissipativity", str(path))
+    assert code == 0
+    result = report["result"]
+    assert result["verdict"] == "NON_DISSIPATIVE"
+    assert result["certificate_status"] == "FOUND"
+    q = np.array(result["certificate"]["Q"])
+    assert np.linalg.eigvalsh(q)[0] > 0.0
+    # the unscaled pair stands for the scaled one: the traces are linear in it
+    for f in (a, b):
+        tol = 2e-8 * (np.linalg.norm(a) + np.linalg.norm(b)) * np.trace(q @ q)
+        assert abs(np.trace(q @ f @ q)) <= tol
+
+
 def test_witness_transversality_none_found_exit_zero(capsys, plane_file):
     code, report = run_json(capsys, "witness", plane_file, "--mode", "trans", "--restarts", "40")
     assert code == 0

@@ -21,6 +21,7 @@ from localsolv import (
 from localsolv import dissipativity, pencil, rank_profile, witness
 from localsolv.dissipativity import Dissipativity, cert_tolerance, decide, eig_slack
 from localsolv.errors import InfeasiblePairError, NumericalInconclusiveError
+from localsolv.fixtures import all_fixtures
 from localsolv.forms import SymplecticStructure
 from conftest import (
     congruent_pair,
@@ -225,18 +226,6 @@ def test_trace_normalize_kills_traces(rng):
 def test_trace_normalize_rejects_dissipative():
     with pytest.raises(InfeasiblePairError):
         trace_normalize(SymmetricForm(np.diag([1.0, 0.0])), SymmetricForm(np.diag([0.0, 1.0])))
-
-
-def test_certificate_accepts_longer_lists(rng):
-    a = SymmetricForm(np.diag([1.0, -1.0, 0.0]))
-    b = SymmetricForm([[0.0, 1.0, 0], [1.0, 0.0, 0], [0, 0, 0.0]])
-    c = SymmetricForm([[0.0, 0, 1.0], [0, 0, 0], [1.0, 0, 0.0]])
-    outcome = trace_certificate(a, b, c)
-    assert outcome.found
-    q = outcome.certificate.q
-    tol = 1e-8 * (a.frobenius() + b.frobenius() + c.frobenius())
-    for f in (a, b, c):
-        assert abs(np.trace(q @ f.matrix @ q)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -469,3 +458,65 @@ def test_dissipative_pair_at_extreme_scales(s):
     assert is_non_dissipative(a, b).extreme_min_eig / s == pytest.approx(
         reference.extreme_min_eig
     )
+
+
+# ---------------------------------------------------------------------------
+# closed-form certificates from support points
+
+
+def assert_certified(a, b, outcome):
+    """FOUND, and Q passes the benchmark's check: Q > 0 and
+    |tr(Q F Q)| <= 2e-8 (||A||_F + ||B||_F) tr(Q^2) for F = A, B.
+    Returns lambda_min(Q)."""
+    assert outcome.status is CertificateStatus.FOUND, outcome.status
+    q = outcome.certificate.q
+    tol = 2e-8 * (a.frobenius() + b.frobenius()) * np.trace(q @ q)
+    for f in (a, b):
+        assert abs(np.trace(q @ f.matrix @ q)) <= tol
+    lowest = float(np.linalg.eigvalsh(q)[0])
+    assert lowest > 0.0
+    return lowest
+
+
+def arc_pair(n, past, rng):
+    """Unit radii at n angles evenly spread over an arc of length pi + past,
+    under a random congruence: the pair lies `past` beyond the dissipative cut."""
+    phi = rng.uniform(0.0, 2.0 * np.pi) + (np.pi + past) / (n - 1) * np.arange(n)
+    return planted_pair(phi, np.ones(n), haar_congruence(n, rng))
+
+
+@pytest.mark.parametrize("n, past", [(4, 0.001), (10, 0.001), (20, 0.05), (40, 0.05)])
+def test_certificate_close_to_the_cut(n, past):
+    a, b = arc_pair(n, past, np.random.default_rng([n, 0xCE47]))
+    assert_certified(a, b, trace_certificate(a, b))
+
+
+@pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.key)
+def test_certificate_for_every_fixture(fixture):
+    lowest = assert_certified(fixture.a, fixture.b, trace_certificate(fixture.a, fixture.b))
+    if fixture.key == "picked-c-full-rank-d5":
+        # Its support points (+-1, 0) and (0, +-1/2) put the origin on an edge
+        # of every triangle of them; eps comes from the depth along -tau.
+        assert lowest > 0.1
+
+
+def test_certificates_on_seeded_pairs():
+    # congruent traceless pairs, congruent diagonal pairs with angles round
+    # the circle, and arc pairs from 1e-3 to 1 past the cut, 100 of each
+    for index in range(300):
+        rng = np.random.default_rng([index, 0xCE47])
+        n = int(rng.integers(3, 21))
+        kind = index % 3
+        if kind == 0:
+            a, b, _ = congruent_pair(*traceless_pair(n, rng), rng)
+        elif kind == 1:
+            while True:
+                phi = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+                if np.max(np.diff(np.append(phi, phi[0] + 2.0 * np.pi))) < np.pi - 1e-3:
+                    break
+            a, b = planted_pair(phi, rng.uniform(0.5, 2.0, n), haar_congruence(n, rng))
+        else:
+            a, b = arc_pair(n, 10.0 ** rng.uniform(-3.0, 0.0), rng)
+        outcome = trace_certificate(a, b)
+        assert_certified(a, b, outcome)
+        assert outcome.iterations <= 32

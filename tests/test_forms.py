@@ -342,6 +342,25 @@ def test_span_rank(rng):
     assert span_rank(a, b, SymmetricForm(a.matrix - 2 * b.matrix)) == 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.floats(min_value=-150, max_value=150), min_size=3, max_size=3),
+)
+def test_span_rank_invariant_under_separate_scaling(seed, exponents):
+    # scaling a form changes its length, not its span
+    rng = np.random.default_rng(seed)
+    a = SymmetricForm(random_symmetric(5, rng))
+    b = SymmetricForm(random_symmetric(5, rng))
+    for forms in (
+        (a, b),
+        (a, b, SymmetricForm(a.matrix - 2.0 * b.matrix)),
+        (a, SymmetricForm(3.0 * a.matrix)),
+    ):
+        scaled = [SymmetricForm(10.0**x * f.matrix) for f, x in zip(forms, exponents)]
+        assert span_rank(*scaled) == span_rank(*forms)
+
+
 def test_subspace_orthonormality_enforced():
     with pytest.raises(ValueError):
         Subspace(3, np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))

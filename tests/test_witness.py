@@ -9,6 +9,7 @@ a dense angular sample for n = 2 and never fires on a pair with a joint zero.
 """
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -445,6 +446,26 @@ def test_gap_is_invariant_under_separate_scaling(scale):
                 # no witness exists, so the proof decides the status alone
                 for search in both_searches(a2, b2, restarts=3):
                     assert search.status is SearchStatus.EMPTY
+
+
+@pytest.mark.parametrize("sa, sb", [(1e-4, 1e4), (1e170, 1e170), (1e-150, 1e150)])
+def test_transversality_witness_is_scale_invariant(sa, sb):
+    # the margin is cut on the unit-Frobenius forms, and their norms are taken
+    # after a power-of-two prescale, so scale changes neither path nor outcome
+    a, b = traceless_pair(5, np.random.default_rng(0x5CA1))
+    base = transversality_witness(a, b, restarts=10)
+    a2, b2 = SymmetricForm(sa * a.matrix), SymmetricForm(sb * b.matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = transversality_witness(a2, b2, restarts=10)
+    assert base.status is scaled.status is SearchStatus.FOUND
+    assert base.attempts == scaled.attempts == 1
+    z = scaled.witness.point
+    assert np.allclose(z, base.witness.point, atol=1e-8)
+    stacked = np.column_stack([a2.matrix @ z, b2.matrix @ z])
+    assert scaled.witness.margin == pytest.approx(
+        float(np.linalg.svd(stacked, compute_uv=False)[1]), rel=1e-9
+    )
 
 
 def test_found_search_has_found_status(rng):
