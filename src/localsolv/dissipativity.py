@@ -302,9 +302,7 @@ def _scan_maximum(a: SymmetricForm, b: SymmetricForm) -> float:
     best = float(np.max(values))
     for i in range(n):
         if values[i] >= values[(i - 1) % n] and values[i] >= values[(i + 1) % n]:
-            _, value = golden_section_maximize(
-                min_eig_at, thetas[i] - step, thetas[i] + step, 60
-            )
+            _, value = golden_section_maximize(min_eig_at, thetas[i] - step, thetas[i] + step, 60)
             best = max(best, value)
     return best
 
@@ -339,13 +337,11 @@ def _surrounding_points(a: SymmetricForm, b: SymmetricForm):
 
     The bottom and top eigenvectors of M(theta) give the points of the joint
     numerical range on its supporting lines with outer normals theta + pi
-    and theta.  After theta = k pi / 4 (k = 0..3), M is taken at the middle
-    of the widest empty angle between the points' polar angles while that
-    angle is pi or more; for a non-dissipative pair the new top point lands
-    strictly inside it.  Angles are tested, not polygon edges, because a
-    polygonal range gives the same vertex for many theta.  Returns the
-    vectors, the points and their polar angles, sorted by angle, and the
-    number of `eigh` calls, or None after `_SUPPORT_CALLS` calls.
+    and theta.  After theta = k pi / 4 (k = 0..3), M is taken in the middle
+    of the widest empty polar angle while that is pi or more (angles, not
+    polygon edges: a polygonal range repeats its vertices).  Returns the
+    vectors, points and polar angles sorted by angle, and the `eigh` count,
+    or None after `_SUPPORT_CALLS` calls.
     """
     zs = np.empty((a.dim, 0))
     pending = [k * math.pi / 4.0 for k in range(4)]
@@ -370,18 +366,38 @@ def _cross(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
+def _exit_point(a: SymmetricForm, b: SymmetricForm, d: np.ndarray):
+    """(calls, r, E): the ray along the unit vector d leaves the support polygon
+    at r d, the point of the convex combination E of projectors z z^T (0 if none)."""
+    if span_rank(a, b) == 1:
+        # The range is a segment along d; the top point of M at d's angle ends it.
+        w, v = np.linalg.eigh(_combination(a, b, math.atan2(d[1], d[0])))
+        return 1, float(w[-1]), np.outer(v[:, -1], v[:, -1])
+    found = _surrounding_points(a, b)
+    if found is None:
+        return _SUPPORT_CALLS, 0.0, np.zeros((a.dim, a.dim))
+    zs, points, angles, calls = found
+    i = int(np.searchsorted(angles, math.atan2(d[1], d[0]), side="right")) - 1
+    k = (i + 1) % len(angles)
+    u, v = points[:, i], points[:, k]
+    # r d = (cross(d, v) u + cross(u, d) v) / span is on the edge from u to v
+    span = _cross(d, v - u)
+    if not span > 0.0:
+        return calls, 0.0, np.zeros((a.dim, a.dim))
+    edge = _cross(d, v) * np.outer(zs[:, i], zs[:, i]) + _cross(u, d) * np.outer(zs[:, k], zs[:, k])
+    return calls, _cross(u, v) / span, edge / span
+
+
 def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
     """Q > 0 with tr(Q A Q) = tr(Q B Q) = 0, in closed form from support points.
 
     A dissipative pair is INFEASIBLE with its PSD direction; every outcome
     carries the dissipativity decision as `verdict`.  Otherwise, on the
     prescaled pair, let tau = (tr A, tr B) / n; the ray from 0 along -tau
-    leaves the polygon of the `_surrounding_points` at distance r, at
-    l w_i + (1 - l) w_k.  P = (1 - eps) (l z_i z_i^T + (1 - l) z_k z_k^T)
-    + (eps / n) I with eps = r / (r + |tau|) has tr(P A) = tr(P B) = 0 and
-    lambda_min(P) >= eps / n (a traceless pair gets P = I / n).  Q = P^(1/2)
-    is accepted when both residuals are within `cert_tolerance` and P > 0;
-    `iterations` counts the `eigh` calls of the support search.
+    leaves the range at r (`_exit_point`); P = (1 - eps) E + (eps / n) I with
+    eps = r / (r + |tau|) has tr(P A) = tr(P B) = 0 and lambda_min(P) >= eps / n
+    (I / n for a traceless pair).  Q = P^(1/2) is accepted when both residuals
+    are within `cert_tolerance` and P > 0; `iterations` counts `eigh` calls.
     """
     verdict = is_non_dissipative(a, b)
     if not verdict.non_dissipative:
@@ -389,27 +405,13 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
             CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, verdict=verdict
         )
     (a, b), e = prescaled(a, b)
-    found = _surrounding_points(a, b)
-    if found is None:
-        return CertificateOutcome(
-            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=_SUPPORT_CALLS, verdict=verdict
-        )
-    zs, points, angles, calls = found
     tau = np.array([np.trace(a.matrix), np.trace(b.matrix)]) / a.dim
     size = math.hypot(*tau)
-    p = np.eye(a.dim) / a.dim
+    p, calls = np.eye(a.dim) / a.dim, 0
     if size > 0.0:
-        d = -tau / size
-        i = int(np.searchsorted(angles, math.atan2(d[1], d[0]), side="right")) - 1
-        k = (i + 1) % len(angles)
-        u, v = points[:, i], points[:, k]
-        # r d = (cross(d, v) u + cross(u, d) v) / span is on the edge from u to v
-        span = _cross(d, v - u)
-        r = _cross(u, v) / span
+        calls, r, edge = _exit_point(a, b, -tau / size)
         eps = r / (r + size)
-        zi, zk = zs[:, i], zs[:, k]
-        edge = _cross(d, v) * np.outer(zi, zi) + _cross(u, d) * np.outer(zk, zk)
-        p = (1.0 - eps) / span * edge + eps * p
+        p = (1.0 - eps) * edge + eps * p
     w, vecs = np.linalg.eigh(p)
     residuals = [abs(float(np.tensordot(p, f.matrix))) for f in (a, b)]
     if max(residuals) > cert_tolerance(a, b) or w[0] <= 0.0:
@@ -443,8 +445,4 @@ def trace_normalize(
             f"no certificate after {outcome.iterations} eigh calls of the support search"
         )
     q = outcome.certificate.q
-    return (
-        SymmetricForm(q @ a.matrix @ q),
-        SymmetricForm(q @ b.matrix @ q),
-        q,
-    )
+    return SymmetricForm(q @ a.matrix @ q), SymmetricForm(q @ b.matrix @ q), q

@@ -88,7 +88,7 @@ class SymmetricForm:
 
         The form is scaled by its power of two first (`prescaled`), so the
         norm neither overflows nor underflows; in between that changes no bit.
-        Forms are immutable, so the result is kept for later calls.
+        Forms are immutable, so the result is kept: searches ask at each step.
         """
         return self._unit
 
@@ -330,8 +330,9 @@ def congruence(form: SymmetricForm, t: np.ndarray) -> SymmetricForm:
 
 
 def span_rank(*forms: SymmetricForm) -> int:
-    """Dimension of the linear span of the given forms, each scaled to unit
-    Frobenius norm first, so that their separate scales do not matter."""
+    """Dimension of the span of the forms, each at unit Frobenius norm so that
+    their scales do not matter.  Forms are exact data: stack a form computed
+    from others (a bracket) at their scale, or its noise becomes a direction."""
     if not forms:
         return 0
     _check_form_dims(*forms)

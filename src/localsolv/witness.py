@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, rng_for, unit_vector
+from ._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, numerical_rank, rng_for, unit_vector
 from .dissipativity import decide
 from .errors import NumericalInconclusiveError
 from .forms import (
@@ -273,10 +273,10 @@ def zero_set_gap(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> float:
     is the smallest eigenvalue of cos(phi) An + sin(phi) Bn at the angle phi
     that `dissipativity.decide` returns when it finds (An, Bn) dissipative,
     or 0 when that element is not positive definite, the pair is
-    non-dissipative or the decision raises.  For
-    n >= 3 a definite element exists exactly when the joint zero set is {0}
-    (Calabi 1964); the decision's angle is the best of angles that include
-    the middle of every arc between singular angles, so it finds one.
+    non-dissipative or the decision raises.  For n >= 3 a definite element
+    exists exactly when the joint zero set is {0} (Calabi 1964); the
+    decision's angle is the best of angles that include the middle of every
+    arc between singular angles, so it finds one.
     """
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
@@ -471,8 +471,10 @@ def hypothesis_report(
         minrank, maxrank = profile.minrank, profile.maxrank
         for theta in profile.marginal:
             notes.append(f"marginal rank decision near theta={theta:.6f}")
-        c = poisson_bracket(a, b, structure)
-        independent = span_rank(a, b, c) == 3
+        # C of the unit pair, not rescaled: a commuting pair's noise stays under the cut
+        unit = (a.normalized(), b.normalized())
+        unit += (poisson_bracket(*unit, structure),)
+        independent = numerical_rank(np.column_stack([f.matrix.ravel() for f in unit])) == 3
     verdict = decide(a, b, profile)
 
     radical = joint_radical(a, b)

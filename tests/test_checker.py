@@ -19,7 +19,12 @@ from localsolv import (
     two_step_verdict,
 )
 from localsolv.errors import MuSearchError
-from conftest import branch_one_instance, random_symmetric, traceless_pair
+from conftest import (
+    branch_one_instance,
+    random_symmetric,
+    random_traceless_form,
+    traceless_pair,
+)
 
 
 def quartet_matrices():
@@ -79,6 +84,26 @@ def test_heisenberg_verdict_survives_scaling_one_form():
     assert twin.outcome is VerdictOutcome.NOT_LOCALLY_SOLVABLE
     assert scaled.outcome is twin.outcome
     assert scaled.condition_b and scaled.condition_c is twin.condition_c
+
+
+def test_commuting_pair_keeps_condition_b_false_under_congruence():
+    # A and B live on the position block, so {A, B} = 0; after a symplectic
+    # congruence the computed bracket is rounding noise, not a third direction
+    d = 17
+    rng = np.random.default_rng(0xC0)
+    a, b = np.zeros((2 * d, 2 * d)), np.zeros((2 * d, 2 * d))
+    a[:d, :d] = random_traceless_form(d, rng).matrix
+    b[:d, :d] = random_traceless_form(d, rng).matrix
+    x = random_symmetric(d, rng)
+    y = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
+    shear = np.block([[np.eye(d), x], [np.zeros((d, d)), np.eye(d)]])
+    s = shear @ np.block([[y, np.zeros((d, d))], [np.zeros((d, d)), np.linalg.inv(y).T]])
+    verdict = heisenberg_verdict(
+        HeisenbergOperatorSpec(d, SymmetricForm(s.T @ a @ s), SymmetricForm(s.T @ b @ s))
+    )
+    assert verdict.condition_a and verdict.condition_c is Branch.I
+    assert not verdict.condition_b
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
 
 
 def test_verdict_invariant_outcome_matches_conditions():

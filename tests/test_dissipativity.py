@@ -520,3 +520,16 @@ def test_certificates_on_seeded_pairs():
         outcome = trace_certificate(a, b)
         assert_certified(a, b, outcome)
         assert outcome.iterations <= 32
+
+
+@pytest.mark.parametrize(
+    "generator, factor",
+    [([1.0, -1.0], 0.0), ([1.0, -1.0], 3.0), ([2.0, -1.0], 3.0), ([2.0, -1.0, 0.5], 0.0)],
+)
+def test_certificate_for_one_dimensional_span(generator, factor):
+    # A and B = factor * A span one line; the range is a segment through 0
+    a = SymmetricForm(np.diag(generator))
+    b = SymmetricForm(factor * a.matrix)
+    outcome = trace_certificate(a, b)
+    assert_certified(a, b, outcome)
+    assert outcome.iterations == (0 if sum(generator) == 0.0 else 1)
