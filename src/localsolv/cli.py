@@ -84,6 +84,10 @@ def _emit_json(value, pieces: list[str]):
             _emit_json(item, pieces)
         pieces.append("}")
     elif isinstance(value, (list, tuple)):
+        if value and all(type(x) is float for x in value) and all(map(math.isfinite, value)):
+            # one join for a row of floats; adding 0.0 turns -0.0 into 0.0
+            pieces.append("[" + ", ".join([format(x + 0.0, ".17g") for x in value]) + "]")
+            return
         pieces.append("[")
         for i, item in enumerate(value):
             if i:
@@ -166,9 +170,24 @@ def _as_finite(value, path: str) -> float:
     return number
 
 
+_NUMBER_TYPES = frozenset((float, int))
+
+
+def _is_number_row(row, cols: int) -> bool:
+    return type(row) is list and len(row) == cols and set(map(type, row)) <= _NUMBER_TYPES
+
+
 def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != rows:
         raise InputError(f"{path}: expected {rows} rows")
+    if all(_is_number_row(row, cols) for row in value):
+        try:
+            out = np.array(value, dtype=float)
+            if np.isfinite(out).all():
+                return out
+        except OverflowError:
+            pass
+    # the per-entry pass names the first bad entry
     out = np.empty((rows, cols))
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:

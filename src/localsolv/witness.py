@@ -6,6 +6,16 @@ two-component residual map (minimal-norm update, re-normalized every step),
 restarted from seeded random directions.  A returned witness always carries
 re-checkable residuals and the margin it certifies.
 
+Restart k draws its start from its own stream rng_for(seed, salt, k).  The
+first restart runs alone; the later ones run in lockstep blocks of at most
+`_BLOCK` rows, where each step works on the whole block: the least-norm step
+J^T (J J^T)^-1 (-r) and the tangent projection are solved per row in closed
+form from the 2 x 2 Gram matrix of the gradients (from their QR factor where
+they are nearly parallel), and a row leaves the block once it converges or
+fails.  The search stops after the first block with a
+success and returns its lowest successful restart, so outcomes and attempt
+counts are those of running the restarts one at a time.
+
 A search ends in one of three ways (`SearchStatus`): FOUND, with a witness;
 EMPTY, when `zero_set_gap` proves that no point of the unit sphere can pass
 the residual test, so no witness exists; or EXHAUSTED, when the restart
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +67,12 @@ __all__ = [
 
 _MAX_NEWTON_ITERATIONS = 100
 _HILL_CLIMB_STEPS = 50
+
+# Restarts after the first run in lockstep blocks of at most this many rows.
+_BLOCK = 64
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # Candidate witnesses are re-converged to this residual before their margin
 # is trusted: quadratic forms can reach ~sqrt(residual) away from their value
@@ -159,24 +176,225 @@ class HypothesisReport:
     notes: tuple[str, ...] = ()
 
 
-def _residual(an, bn, z) -> np.ndarray:
-    return np.array([z @ an @ z, z @ bn @ z])
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.add.reduce(x * y, axis=-1)
 
 
-def _descend(an, bn, z, direction, current):
-    """Backtracking step along a direction; degenerate (near-zero) candidates
-    just shrink the step, since the search lives on the unit sphere."""
+def _stacked(a: SymmetricForm, b: SymmetricForm) -> np.ndarray:
+    """[An | Bn] of the unit-Frobenius forms, so one product gives both gradients."""
+    return np.hstack([a.normalized().matrix, b.normalized().matrix])
+
+
+def _evaluate(stack: np.ndarray, z: np.ndarray):
+    """Each row z's pair (An z, Bn z), shape (m, 2, n), and residuals (Q_An(z), Q_Bn(z))."""
+    pair = (z @ stack).reshape(len(z), 2, z.shape[1])
+    return pair, _rowdot(pair, z[:, None, :])
+
+
+class _Frame(NamedTuple):
+    """Column-pivoted QR of each row's pair: [p q] = [e1 e2] [[f, g], [0, h]].
+
+    p is the longer of the pair's two vectors (`swap` marks rows where that
+    is the second), so e1 exists whenever the pair is nonzero, and e2 is
+    zero where the pair is parallel.  R^T R is the pair's 2 x 2 Gram matrix;
+    R is built from the vectors (Gram-Schmidt, twice) rather than from the
+    Gram entries, so s2 keeps the absolute accuracy of an SVD, eps * s1,
+    where the normal equations would give sqrt(eps) * s1 for nearly
+    parallel gradients.
+    """
+
+    e1: np.ndarray
+    e2: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    s1: np.ndarray  # singular values of the pair, s1 >= s2
+    s2: np.ndarray
+    swap: np.ndarray
+
+
+def _pair_frame(pair: np.ndarray) -> _Frame:
+    square = _rowdot(pair, pair)
+    swap = square[:, 1] > square[:, 0]
+    if swap.any():
+        pair = np.where(swap[:, None, None], pair[:, ::-1], pair)
+    p, q = pair[:, 0], pair[:, 1]
+    f = np.sqrt(np.maximum.reduce(square, axis=1))
+    e1 = p / np.maximum(f, _TINY)[:, None]
+    g = _rowdot(e1, q)
+    w = q - g[:, None] * e1
+    again = _rowdot(e1, w)
+    w -= again[:, None] * e1
+    g += again
+    h = np.sqrt(_rowdot(w, w))
+    e2 = w / np.maximum(h, _TINY)[:, None]
+    s1 = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))
+    return _Frame(e1, e2, f, g, h, s1, f * h / np.maximum(s1, _TINY), swap)
+
+
+class _Gram(NamedTuple):
+    """Each row's Gram matrix G = [u v]^T [u v] of its pair (u, v).
+
+    `top` is lambda_max(G), and lambda_min(G) = det / top.  Where u and v are
+    within about 0.6 degrees of parallel (`loose`), rounding in
+    det = |u|^2 |v|^2 - (u.v)^2 swamps its value; those rows use `_pair_frame`.
+    """
+
+    uu: np.ndarray
+    uv: np.ndarray
+    vv: np.ndarray
+    det: np.ndarray
+    top: np.ndarray
+    loose: np.ndarray
+
+    @classmethod
+    def of(cls, pair: np.ndarray) -> "_Gram":
+        gram = pair @ pair.transpose(0, 2, 1)
+        uu, uv, vv = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+        det = uu * vv - uv * uv
+        top = 0.5 * (uu + vv) + np.hypot(0.5 * (uu - vv), uv)
+        return cls(uu, uv, vv, det, top, ~(det > 1e-4 * uu * vv))
+
+    def combine(self, pair: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """pair^T G^{-1} b for each row, where `rows` marks G as invertible."""
+        det = np.where(rows, self.det, 1.0)
+        alpha = (self.vv * b[:, 0] - self.uv * b[:, 1]) / det
+        beta = (self.uu * b[:, 1] - self.uv * b[:, 0]) / det
+        return alpha[:, None] * pair[:, 0] + beta[:, None] * pair[:, 1]
+
+
+def _gauss_newton_step(pair: np.ndarray, r: np.ndarray):
+    """Least-norm solution of J delta = -r for each row's J = 2 [u; v].
+
+    delta = J^T (J J^T)^{-1} (-r) = [u v] G^{-1} (-r / 2).  Returns the steps
+    and the mask of rows whose J passes the rank test
+    sigma_2 > 1e-12 max(sigma_1, 1), that is
+    lambda_min(G) > 1e-24 max(lambda_max(G), 1/4); the steps of other rows
+    are not used.  Loose rows solve by the QR frame instead: with
+    J = 2 R^T [e1 e2]^T, the step is y0 e1 + y1 e2 for R^T y = -r / 2.
+    """
+    gram = _Gram.of(pair)
+    full = gram.det > 1e-24 * gram.top * np.maximum(gram.top, 0.25)
+    delta = gram.combine(pair, -0.5 * r, full)
+    if gram.loose.any():
+        rows = np.flatnonzero(gram.loose)
+        fr = _pair_frame(pair[rows])
+        full[rows] = fr.s2 > 1e-12 * np.maximum(fr.s1, 0.5)
+        s = np.where(fr.swap[:, None], r[rows, ::-1], r[rows])
+        y0 = -0.5 * s[:, 0] / np.maximum(fr.f, _TINY)
+        y1 = (-0.5 * s[:, 1] - fr.g * y0) / np.maximum(fr.h, _TINY)
+        delta[rows] = y0[:, None] * fr.e1 + y1[:, None] * fr.e2
+    return delta, full
+
+
+def _tangent_component(pair: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row of w minus its projection onto the span of its pair.
+
+    The second direction counts only above the rank cutoff that `lstsq`
+    applies to the n x 2 Jacobian: sigma_2 > eps * max(n, 2) * sigma_1.
+    Rows that are loose or fall under the cutoff use the QR frame.
+    """
+    gram = _Gram.of(pair)
+    cutoff = _EPS * max(w.shape[1], 2)
+    plain = ~gram.loose & (gram.det > cutoff * cutoff * gram.top * gram.top)
+    tangent = w - gram.combine(pair, _rowdot(pair, w[:, None, :]), plain)
+    if not plain.all():
+        rows = np.flatnonzero(~plain)
+        fr = _pair_frame(pair[rows])
+        t = w[rows] - _rowdot(fr.e1, w[rows])[:, None] * fr.e1
+        coeff = np.where(fr.s2 > cutoff * fr.s1, _rowdot(fr.e2, t), 0.0)
+        tangent[rows] = t - coeff[:, None] * fr.e2
+    return tangent
+
+
+def _descend(stack, z, direction, current):
+    """Backtracking step of each row along its direction.
+
+    A row takes the first of the steps 1, 1/2, ..., 2^-24 whose
+    re-normalized point lowers its squared residual below `current`;
+    degenerate (near-zero) candidates just shrink the step, since the search
+    lives on the unit sphere.  Returns the mask of rows that moved and their
+    new points, pairs and residuals (other rows of these are not set).
+    """
+    rows = None  # all of them
+    found = None
     scale = 1.0
     for _ in range(25):
-        candidate = z + scale * direction
-        norm = float(np.linalg.norm(candidate))
-        if norm > 1e-12:
-            candidate = candidate / norm
-            r = _residual(an, bn, candidate)
-            if float(r @ r) < current:
-                return candidate, True
+        candidate = z + scale * direction if rows is None else z[rows] + scale * direction[rows]
+        norm = np.sqrt(_rowdot(candidate, candidate))
+        candidate /= np.maximum(norm, _TINY)[:, None]
+        pair, r = _evaluate(stack, candidate)
+        better = (_rowdot(r, r) < (current if rows is None else current[rows])) & (norm > 1e-12)
+        if rows is None:
+            if better.all():
+                return better, candidate, pair, r
+            rows = np.arange(len(z))
+            found = (np.zeros(len(z), dtype=bool), np.empty_like(z), np.empty_like(pair), np.empty_like(r))
+        hit = rows[better]
+        for array, value in zip(found, (True, candidate[better], pair[better], r[better])):
+            array[hit] = value
+        rows = rows[~better]
+        if not rows.size:
+            break
         scale *= 0.5
-    return z, False
+    return found
+
+
+def _descent_direction(pair: np.ndarray, r: np.ndarray):
+    """Minus the gradient of Q_A^2 + Q_B^2 at each row, and where it is zero."""
+    grad = 4.0 * np.add.reduce(r[:, :, None] * pair, axis=1)
+    return -grad, _rowdot(grad, grad) == 0.0
+
+
+def _project_rows(
+    stack: np.ndarray,
+    z: np.ndarray,
+    max_iterations: int = _MAX_NEWTON_ITERATIONS,
+    tol: float = ZERO_TOL,
+):
+    """`project_to_joint_zero` for each nonzero row of z, in lockstep.
+
+    A row leaves the block once it converges or fails.  Returns the points
+    (meaningful only where converged) and the mask of converged rows.
+    """
+    z = z / np.sqrt(_rowdot(z, z))[:, None]
+    out = np.zeros_like(z)
+    ok = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
+    pair, r = _evaluate(stack, z)
+    for iteration in range(max_iterations + 1):
+        done = np.maximum.reduce(np.abs(r), axis=1) <= tol
+        if done.all():
+            out[live], ok[live] = z, True
+            break
+        if done.any():
+            out[live[done]], ok[live[done]] = z[done], True
+            going = ~done
+            live, z, pair, r = live[going], z[going], pair[going], r[going]
+        if iteration == max_iterations:
+            break
+        current = _rowdot(r, r)
+        delta, full = _gauss_newton_step(pair, r)
+        # Where J lost rank or its step failed: gradient descent on
+        # Q_A^2 + Q_B^2; a row whose gradient is zero fails.
+        stuck = np.zeros(len(z), dtype=bool)
+        if not full.all():
+            rows = np.flatnonzero(~full)
+            delta[rows], stuck[rows] = _descent_direction(pair[rows], r[rows])
+        moved, *step = _descend(stack, z, delta, current)
+        retry = np.flatnonzero(full & ~moved)
+        if retry.size:
+            direction, stuck[retry] = _descent_direction(pair[retry], r[retry])
+            again, *second = _descend(stack, z[retry], direction, current[retry])
+            moved[retry[again]] = True
+            for array, value in zip(step, second):
+                array[retry[again]] = value[again]
+        moved &= ~stuck
+        if not moved.all():
+            live = live[moved]
+            step = [array[moved] for array in step]
+        z, pair, r = step
+    return out, ok
 
 
 def project_to_joint_zero(
@@ -195,37 +413,14 @@ def project_to_joint_zero(
     """
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
-    an, bn = a.normalized().matrix, b.normalized().matrix
     z = unit_vector(np.asarray(z0, dtype=float))
-    for _ in range(max_iterations):
-        r = _residual(an, bn, z)
-        if np.max(np.abs(r)) <= tol:
-            return z
-        jac = np.vstack([2.0 * (an @ z), 2.0 * (bn @ z)])
-        sv = np.linalg.svd(jac, compute_uv=False)
-        current = float(r @ r)
-        moved = False
-        if sv[-1] > 1e-12 * max(sv[0], 1.0):
-            delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
-            z, moved = _descend(an, bn, z, delta, current)
-        if not moved:
-            grad = 4.0 * (r[0] * (an @ z) + r[1] * (bn @ z))
-            if np.linalg.norm(grad) == 0.0:
-                return None
-            z, moved = _descend(an, bn, z, -grad, current)
-        if not moved:
-            return None
-    r = _residual(an, bn, z)
-    if np.max(np.abs(r)) <= tol:
-        return z
-    return None
+    points, ok = _project_rows(_stacked(a, b), z[None, :], max_iterations, tol)
+    return points[0] if ok[0] else None
 
 
-def _polish(a: SymmetricForm, b: SymmetricForm, z: np.ndarray) -> np.ndarray | None:
-    """Re-converge a candidate to near machine-precision residuals."""
-    return project_to_joint_zero(
-        a, b, z, max_iterations=_POLISH_ITERATIONS, tol=_POLISH_TOL
-    )
+def _polish(stack: np.ndarray, z: np.ndarray):
+    """Re-converge candidates to near machine-precision residuals."""
+    return _project_rows(stack, z, _POLISH_ITERATIONS, _POLISH_TOL)
 
 
 def _witness_from_point(a, b, z, margin, attempts, kind) -> WitnessResult:
@@ -300,9 +495,18 @@ def _second_singular(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.svd(np.column_stack([u, v]), compute_uv=False)[1])
 
 
-def _restarted_search(a, b, restarts, seed, attempt) -> WitnessSearch:
-    """Run attempt(k) for k = 0, 1, ... until one returns a witness.
+def _starts(seed: int, salt: int, ks: range, n: int) -> np.ndarray:
+    """Restart k's start point, drawn from its own stream rng_for(seed, salt, k)."""
+    return np.stack([rng_for(seed, salt, k).standard_normal(n) for k in ks])
 
+
+def _restarted_search(a, b, restarts, seed, attempt) -> WitnessSearch:
+    """Run attempt(ks) on blocks of restarts until one returns a witness.
+
+    attempt(ks) runs the restarts ks in lockstep and returns the witness of
+    the lowest successful k, or None.  Restart 0 runs alone, so a search
+    that succeeds at once pays for one row; the later ones run in blocks of
+    `_BLOCK`, and the search stops after the first block with a success.
     The search ends EMPTY when `zero_set_gap` clears `_EMPTY_CUT`: for
     n = 2 before the first restart, otherwise after the first one fails.
     """
@@ -310,12 +514,14 @@ def _restarted_search(a, b, restarts, seed, attempt) -> WitnessSearch:
         raise ValueError(f"restarts must be non-negative, got {restarts}")
     if a.dim == 2 and zero_set_gap(a, b, seed) > _EMPTY_CUT:
         return WitnessSearch(None, 0, restarts, SearchStatus.EMPTY)
-    for k in range(restarts):
-        witness = attempt(k)
+    ks = range(min(restarts, 1))
+    while ks:
+        witness = attempt(ks)
         if witness is not None:
-            return WitnessSearch(witness, k + 1, restarts, SearchStatus.FOUND)
-        if k == 0 and a.dim != 2 and zero_set_gap(a, b, seed) > _EMPTY_CUT:
+            return WitnessSearch(witness, witness.attempts, restarts, SearchStatus.FOUND)
+        if ks.start == 0 and a.dim != 2 and zero_set_gap(a, b, seed) > _EMPTY_CUT:
             return WitnessSearch(None, 1, restarts, SearchStatus.EMPTY)
+        ks = range(ks.stop, min(ks.stop + _BLOCK, restarts))
     return WitnessSearch(None, restarts, restarts, SearchStatus.EXHAUSTED)
 
 
@@ -334,60 +540,54 @@ def transversality_witness(
     """
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
-    an, bn = a.normalized().matrix, b.normalized().matrix
-    n = a.dim
+    stack = _stacked(a, b)
 
-    def attempt(k: int) -> WitnessResult | None:
-        rng = rng_for(seed, 0x7A11, k)
-        z = project_to_joint_zero(a, b, rng.standard_normal(n))
-        if z is None:
+    def attempt(ks: range) -> WitnessResult | None:
+        z, ok = _project_rows(stack, _starts(seed, 0x7A11, ks, a.dim))
+        rows = np.flatnonzero(ok)
+        z, ok = _polish(stack, z[rows])
+        rows, z = rows[ok], z[ok]
+        passed = np.flatnonzero(_pair_frame(_evaluate(stack, z)[0]).s2 > 2.0 * TRANS_REL)
+        if not passed.size:
             return None
-        z = _polish(a, b, z)
-        if z is None:
-            return None
-        if _second_singular(an @ z, bn @ z) > 2.0 * TRANS_REL:
-            margin = _second_singular(a.matrix @ z, b.matrix @ z)
-            return _witness_from_point(a, b, z, margin, k + 1, "transversality")
-        return None
+        point = z[passed[0]]
+        margin = _second_singular(a.matrix @ point, b.matrix @ point)
+        return _witness_from_point(a, b, point, margin, ks[rows[passed[0]]] + 1, "transversality")
 
     return _restarted_search(a, b, restarts, seed, attempt)
 
 
-def _tangent_component(jac: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    coeffs = np.linalg.lstsq(jac.T, vector, rcond=None)[0]
-    return vector - jac.T @ coeffs
+def _hill_climb(stack, c_matrix, z, threshold):
+    """Projected gradient ascent of |Q_C| along the joint zero set, per row.
 
-
-def _hill_climb(a, b, c_matrix, z, threshold):
-    """Projected gradient ascent of |Q_C| along the joint zero set."""
-    an, bn = a.normalized().matrix, b.normalized().matrix
-    value = abs(float(z @ c_matrix @ z))
-    step = 0.1
+    Rows where |Q_C| already clears the threshold are left as they are.
+    Returns the points and their |Q_C|.
+    """
+    q = _rowdot(z @ c_matrix, z)
+    value = np.abs(q)
+    step = np.full(len(z), 0.1)
+    live = np.flatnonzero(value <= threshold)
     for _ in range(_HILL_CLIMB_STEPS):
-        if value > threshold:
+        if not live.size:
             break
-        sign = 1.0 if float(z @ c_matrix @ z) >= 0.0 else -1.0
-        grad = 2.0 * sign * (c_matrix @ z)
-        jac = np.vstack([2.0 * (an @ z), 2.0 * (bn @ z)])
-        tangent = _tangent_component(jac, grad)
-        if np.linalg.norm(tangent) == 0.0:
-            break
-        start = z + step * tangent
-        if np.linalg.norm(start) <= 1e-12:
-            step *= 0.5
-            continue
-        candidate = project_to_joint_zero(a, b, start)
-        if candidate is None:
-            step *= 0.5
-        else:
-            candidate_value = abs(float(candidate @ c_matrix @ candidate))
-            if candidate_value > value * (1.0 + 1e-12):
-                z, value = candidate, candidate_value
-                step *= 1.3
-            else:
-                step *= 0.5
-        if step < 1e-8:
-            break
+        zl, size = z[live], step[live]
+        grad = np.where(q[live] >= 0.0, 2.0, -2.0)[:, None] * (zl @ c_matrix)
+        tangent = _tangent_component(_evaluate(stack, zl)[0], grad)
+        start = zl + size[:, None] * tangent
+        moving = np.any(tangent != 0.0, axis=1)
+        # a start at the origin only halves the step; the step floor is not checked
+        tiny = np.sqrt(_rowdot(start, start)) <= 1e-12
+        tried = moving & ~tiny
+        candidate, ok = _project_rows(stack, start[tried])
+        cq = _rowdot(candidate @ c_matrix, candidate)
+        rows = live[tried]
+        better = ok & (np.abs(cq) > value[rows] * (1.0 + 1e-12))
+        up = rows[better]
+        z[up], q[up], value[up] = candidate[better], cq[better], np.abs(cq[better])
+        size[tried] *= np.where(better, 1.3, 0.5)
+        size[tiny] *= 0.5
+        step[live] = size
+        live = live[moving & (tiny | (size >= 1e-8)) & (value[live] <= threshold)]
     return z, value
 
 
@@ -407,25 +607,21 @@ def bracket_witness(
     if not (a.dim == b.dim == c.dim):
         raise ValueError("forms have mismatched dimensions")
     threshold = BRACKET_REL * c.frobenius()
-    n = a.dim
+    stack = _stacked(a, b)
 
-    def attempt(k: int) -> WitnessResult | None:
-        rng = rng_for(seed, 0xB7AC, k)
-        z = project_to_joint_zero(a, b, rng.standard_normal(n))
-        if z is None:
+    def attempt(ks: range) -> WitnessResult | None:
+        z, ok = _project_rows(stack, _starts(seed, 0xB7AC, ks, a.dim))
+        rows = np.flatnonzero(ok)
+        z, value = _hill_climb(stack, c.matrix, z[rows], threshold)
+        high = value > threshold
+        rows = rows[high]
+        polished, ok = _polish(stack, z[high])
+        value = np.abs(_rowdot(polished @ c.matrix, polished))
+        passed = np.flatnonzero(ok & (value > threshold))
+        if not passed.size:
             return None
-        value = abs(float(z @ c.matrix @ z))
-        if value <= threshold:
-            z, value = _hill_climb(a, b, c.matrix, z, threshold)
-        if value <= threshold:
-            return None
-        polished = _polish(a, b, z)
-        if polished is None:
-            return None
-        value = abs(float(polished @ c.matrix @ polished))
-        if value > threshold:
-            return _witness_from_point(a, b, polished, value, k + 1, "bracket")
-        return None
+        i = passed[0]
+        return _witness_from_point(a, b, polished[i], float(value[i]), ks[rows[i]] + 1, "bracket")
 
     return _restarted_search(a, b, restarts, seed, attempt)
 

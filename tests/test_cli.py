@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -412,3 +413,141 @@ def test_float_precision_seventeen_digits(capsys, plane_file):
     # 17 significant digits round-trip exactly through a parse
     value = parsed["result"]["certificate"]["min_eig_q"]
     assert format(value, ".17g") in out
+
+
+# -- the per-entry reference paths --------------------------------------------
+#
+# `_as_matrix` converts a well-formed matrix in one numpy call and
+# `_emit_json` prints a row of finite floats in one join.  These are the
+# per-entry paths they replace, kept as oracles.
+
+
+def ref_as_matrix(value, rows, cols, path):
+    from localsolv.cli import InputError
+
+    if not isinstance(value, list) or len(value) != rows:
+        raise InputError(f"{path}: expected {rows} rows")
+    out = np.empty((rows, cols))
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != cols:
+            raise InputError(f"{path}[{i}]: expected {cols} entries")
+        for j, entry in enumerate(row):
+            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
+                raise InputError(f"{path}[{i}][{j}]: expected a number, got {entry!r}")
+            try:
+                out[i, j] = float(entry)
+            except OverflowError:
+                out[i, j] = math.inf
+    if not np.all(np.isfinite(out)):
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise InputError(f"{path}[{i}][{j}]: expected a finite number, got {value[i][j]!r}")
+    return out
+
+
+def ref_emit_json(value, pieces):
+    if value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, str):
+        pieces.append(json.dumps(value))
+    elif isinstance(value, int):
+        pieces.append(repr(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("reports must not contain non-finite numbers")
+        if value == 0.0:
+            value = 0.0
+        pieces.append(format(value, ".17g"))
+    elif isinstance(value, dict):
+        pieces.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                pieces.append(", ")
+            pieces.append(json.dumps(str(key)))
+            pieces.append(": ")
+            ref_emit_json(item, pieces)
+        pieces.append("}")
+    elif isinstance(value, (list, tuple)):
+        pieces.append("[")
+        for i, item in enumerate(value):
+            if i:
+                pieces.append(", ")
+            ref_emit_json(item, pieces)
+        pieces.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc).__name__, str(exc)
+
+
+def matrix_inputs():
+    rng = np.random.default_rng(0x9A85)
+    big = 10**400
+    cases = []
+    for rows, cols in ((1, 1), (2, 2), (3, 3), (40, 40), (4, 6)):
+        m = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+        cases.append((json.loads(json.dumps(m.tolist())), rows, cols))
+    ints = [[2**53 + 1, -(2**64) - 1, 10**300], [0, -0.0, 5e-324], [1, 2, -7]]
+    cases.append((ints, 3, 3))
+    bad_entries = [True, False, None, "1", [1.0], {"x": 1}, math.nan, math.inf, -math.inf,
+                   json.loads("1e400"), big, -big]
+    for entry in bad_entries:
+        for i, j in ((0, 0), (1, 2), (2, 1)):
+            m = [[1.0, 2, -3.5], [0.0, 4, 5.0], [6, 7.25, 8]]
+            m[i][j] = entry
+            cases.append((m, 3, 3))
+    good = [[1.0, 2.0], [3.0, 4.0]]
+    cases += [
+        (good, 3, 2),  # wrong row count
+        (good, 2, 3),  # wrong row length
+        ([[1.0, 2.0], [3.0]], 2, 2),
+        ([[1.0, 2.0], (3.0, 4.0)], 2, 2),
+        ({"0": good}, 2, 2),
+        ("[[1]]", 1, 1),
+        ([[1.0, "x"], [math.nan, 2.0]], 2, 2),  # the first bad entry is named
+        ([[math.inf, 1.0], [1.0, "x"]], 2, 2),
+    ]
+    return cases
+
+
+def test_as_matrix_agrees_with_the_per_entry_path():
+    from localsolv.cli import _as_matrix
+
+    for value, rows, cols in matrix_inputs():
+        fast, ref = outcome(_as_matrix, value, rows, cols, "A"), outcome(ref_as_matrix, value, rows, cols, "A")
+        assert fast[0] == ref[0], (value, fast, ref)
+        if fast[0] == "ok":
+            assert fast[1].dtype == np.float64 and fast[1].shape == (rows, cols)
+            assert fast[1].tobytes() == ref[1].tobytes()
+        else:
+            assert fast[1] == ref[1]
+
+
+def test_emit_json_agrees_with_the_per_entry_path():
+    from localsolv.cli import _emit_json
+
+    rng = np.random.default_rng(0x3E17)
+    row = [float(x) for x in rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)]
+    reports = [
+        {"point": row, "Q": [row[:5], row[5:10]], "zeros": [0.0, -0.0, 5e-324, -5e-324]},
+        {"mixed": [1.0, 2, True, None, "s", -0.0], "tuple": (0.5, -0.0), "empty": []},
+        {"numpy": [np.float64(-0.0), np.float64(1.5)], "nested": [[[1.0]], [(2.0, 3.0)]]},
+        {"bool_row": [True, False], "int_row": [1, -2, 10**30], "big": [1.7976931348623157e308]},
+        {"nan": [1.0, math.nan]},
+        {"inf": (math.inf,)},
+        {"bad": [1.0, object()]},
+        -0.0,
+    ]
+    for report in reports:
+        fast, ref = [], []
+        assert outcome(_emit_json, report, fast)[0] == outcome(ref_emit_json, report, ref)[0]
+        assert "".join(fast) == "".join(ref)

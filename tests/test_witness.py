@@ -30,7 +30,14 @@ from localsolv import (
     transversality_witness,
     zero_set_gap,
 )
-from localsolv._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL
+from localsolv._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, rng_for
+from localsolv.witness import (
+    _gauss_newton_step,
+    _hill_climb,
+    _project_rows,
+    _stacked,
+    _tangent_component,
+)
 from conftest import (
     branch_one_instance,
     branch_two_instance,
@@ -480,3 +487,252 @@ def test_negative_restart_budget_is_rejected():
     a, b = quartet_pair()
     with pytest.raises(ValueError, match="restarts"):
         transversality_witness(a, b, restarts=-1)
+
+
+# -- the per-restart reference ------------------------------------------------
+#
+# The searches run their restarts in lockstep blocks with a closed-form step.
+# This is the loop they replace, kept as an oracle: one restart at a time,
+# with np.linalg.svd for the rank test and np.linalg.lstsq for the
+# Gauss-Newton step and the tangent projection.
+
+
+def ref_residual(an, bn, z):
+    return np.array([z @ an @ z, z @ bn @ z])
+
+
+def ref_descend(an, bn, z, direction, current):
+    scale = 1.0
+    for _ in range(25):
+        candidate = z + scale * direction
+        norm = float(np.linalg.norm(candidate))
+        if norm > 1e-12:
+            candidate = candidate / norm
+            r = ref_residual(an, bn, candidate)
+            if float(r @ r) < current:
+                return candidate, True
+        scale *= 0.5
+    return z, False
+
+
+def ref_project(an, bn, z, max_iterations=100, tol=ZERO_TOL):
+    z = z / np.linalg.norm(z)
+    for _ in range(max_iterations):
+        r = ref_residual(an, bn, z)
+        if np.max(np.abs(r)) <= tol:
+            return z
+        jac = np.vstack([2.0 * (an @ z), 2.0 * (bn @ z)])
+        sv = np.linalg.svd(jac, compute_uv=False)
+        current = float(r @ r)
+        moved = False
+        if sv[-1] > 1e-12 * max(sv[0], 1.0):
+            delta = np.linalg.lstsq(jac, -r, rcond=None)[0]
+            z, moved = ref_descend(an, bn, z, delta, current)
+        if not moved:
+            grad = 4.0 * (r[0] * (an @ z) + r[1] * (bn @ z))
+            if np.linalg.norm(grad) == 0.0:
+                return None
+            z, moved = ref_descend(an, bn, z, -grad, current)
+        if not moved:
+            return None
+    r = ref_residual(an, bn, z)
+    return z if np.max(np.abs(r)) <= tol else None
+
+
+def ref_hill_climb(an, bn, c, z, threshold):
+    value = abs(float(z @ c @ z))
+    step = 0.1
+    for _ in range(50):
+        if value > threshold:
+            break
+        sign = 1.0 if float(z @ c @ z) >= 0.0 else -1.0
+        grad = 2.0 * sign * (c @ z)
+        jac = np.vstack([2.0 * (an @ z), 2.0 * (bn @ z)])
+        tangent = grad - jac.T @ np.linalg.lstsq(jac.T, grad, rcond=None)[0]
+        if np.linalg.norm(tangent) == 0.0:
+            break
+        start = z + step * tangent
+        if np.linalg.norm(start) <= 1e-12:
+            step *= 0.5
+            continue
+        candidate = ref_project(an, bn, start)
+        if candidate is None:
+            step *= 0.5
+        else:
+            candidate_value = abs(float(candidate @ c @ candidate))
+            if candidate_value > value * (1.0 + 1e-12):
+                z, value = candidate, candidate_value
+                step *= 1.3
+            else:
+                step *= 0.5
+        if step < 1e-8:
+            break
+    return z, value
+
+
+def ref_attempt(a, b, c, k, seed):
+    """Restart k of a transversality search (c is None) or a bracket search."""
+    an, bn = a.normalized().matrix, b.normalized().matrix
+    salt = 0x7A11 if c is None else 0xB7AC
+    z = ref_project(an, bn, rng_for(seed, salt, k).standard_normal(a.dim))
+    if z is None:
+        return None
+    if c is None:
+        z = ref_project(an, bn, z, 60, 1e-14)
+        if z is None:
+            return None
+        second = lambda u, v: float(np.linalg.svd(np.column_stack([u, v]), compute_uv=False)[1])
+        if second(an @ z, bn @ z) > 2.0 * TRANS_REL:
+            return z, second(a.matrix @ z, b.matrix @ z)
+        return None
+    threshold = BRACKET_REL * c.frobenius()
+    value = abs(float(z @ c.matrix @ z))
+    if value <= threshold:
+        z, value = ref_hill_climb(an, bn, c.matrix, z, threshold)
+    if value <= threshold:
+        return None
+    z = ref_project(an, bn, z, 60, 1e-14)
+    if z is None:
+        return None
+    value = abs(float(z @ c.matrix @ z))
+    return (z, value) if value > threshold else None
+
+
+def ref_search(a, b, c, restarts, seed):
+    """(status, attempts, point, margin) of the per-restart loop."""
+    if a.dim == 2 and zero_set_gap(a, b, seed) > 1e-6:
+        return SearchStatus.EMPTY, 0, None, None
+    for k in range(restarts):
+        found = ref_attempt(a, b, c, k, seed)
+        if found is not None:
+            return SearchStatus.FOUND, k + 1, *found
+        if k == 0 and a.dim != 2 and zero_set_gap(a, b, seed) > 1e-6:
+            return SearchStatus.EMPTY, 1, None, None
+    return SearchStatus.EXHAUSTED, restarts, None, None
+
+
+def split_pair(n, rng):
+    """(l1 l2, l1 l3) for random linear forms: the joint zero set is
+    {l1 = 0}, where the gradients are parallel, joined to {l2 = l3 = 0},
+    where they are transversal.  With C = l1 l4, Q_C vanishes on the first
+    part alone, so a restart succeeds exactly when it lands on the second."""
+    l1, l2, l3, l4 = rng.standard_normal((4, n))
+    sym = lambda x, y: SymmetricForm(0.5 * (np.outer(x, y) + np.outer(y, x)))
+    return sym(l1, l2), sym(l1, l3), sym(l1, l4)
+
+
+def oracle_cases():
+    """(a, b, c, budget, seed) for both modes; c is None for transversality."""
+    rng = np.random.default_rng(0x0AC1E)
+    cases = []
+    for n in range(2, 13):
+        for i in range(6):
+            a, b = traceless_pair(n, rng)
+            c = SymmetricForm(random_symmetric(n, rng))
+            cases += [(a, b, None, (1, 20)[i % 2], i), (a, b, c, (20, 1)[i % 2], i)]
+        if n == 2:
+            continue  # a split pair in the plane meets only along {l1 = 0}
+        for i in range(8):
+            a, b, c = split_pair(n, rng)
+            budget = (20, 65, 200, 20)[i % 4]
+            cases += [(a, b, None, budget, i), (a, b, c, budget, i)]
+        a, b = definite_pair(n, rng)
+        cases += [(a, b, None, 20, n), (a, b, SymmetricForm(np.eye(n)), 65, n)]
+    plane = SymmetricForm(np.diag([1.0, -1.0]))
+    line = SymmetricForm([[1.0, 1.0], [1.0, -3.0]])
+    cases += [(plane, rank2_hyperbolic(2), None, 20, 0), (plane, line, None, 20, 0)]
+    a, b = quartet_pair()
+    c = poisson_bracket(a, b, SymplecticStructure.canonical(4))
+    cases += [(a, b, c, budget, seed) for budget, seed in ((1, 0), (20, 1), (65, 2), (200, 3))]
+    return cases
+
+
+def test_lockstep_searches_match_the_per_restart_loop():
+    statuses, late = set(), 0
+    cases = oracle_cases()
+    assert len(cases) >= 300
+    for a, b, c, budget, seed in cases:
+        if c is None:
+            search = transversality_witness(a, b, restarts=budget, seed=seed)
+        else:
+            search = bracket_witness(a, b, c, restarts=budget, seed=seed)
+        status, attempts, point, margin = ref_search(a, b, c, budget, seed)
+        assert (search.status, search.attempts, search.budget) == (status, attempts, budget)
+        statuses.add(status)
+        if status is SearchStatus.FOUND:
+            late += attempts >= 2
+            assert np.max(np.abs(search.witness.point - point)) <= 1e-12
+            assert search.witness.margin == pytest.approx(margin, rel=1e-12)
+    assert statuses == set(SearchStatus)
+    assert late >= 20
+
+
+def test_closed_form_step_is_the_least_norm_solution():
+    # random and nearly rank-deficient Jacobians J = 2 [u; v], at several
+    # scales, against lstsq's minimum-norm solution of J delta = -r; both
+    # solvers err by up to about eps * cond(J), so the bound scales with it
+    rng = np.random.default_rng(0x57E9)
+    eps = np.finfo(float).eps
+    for gap in (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11):
+        for _ in range(40):
+            n = int(rng.integers(2, 41))
+            u, w = rng.standard_normal((2, n))
+            pair = np.stack([u, rng.standard_normal() * u + gap * w]) * 10.0 ** rng.integers(-3, 4)
+            if rng.random() < 0.5:
+                pair = pair[::-1]
+            r = rng.standard_normal(2)
+            jac = 2.0 * pair
+            delta, full = _gauss_newton_step(pair[None].copy(), r[None])
+            sv = np.linalg.svd(jac, compute_uv=False)
+            assert full[0] == (sv[-1] > 1e-12 * max(sv[0], 1.0))
+            if full[0]:
+                ref = np.linalg.lstsq(jac, -r, rcond=None)[0]
+                cond = sv[0] / sv[-1]
+                assert np.linalg.norm(delta[0] - ref) <= 1e3 * cond * eps * np.linalg.norm(ref)
+
+
+def test_closed_form_step_flags_rank_deficient_jacobians():
+    rng = np.random.default_rng(0xDEF1)
+    u = rng.standard_normal(6)
+    pairs = [np.stack([u, -2.5 * u]), np.stack([np.zeros(6), u]), np.stack([u, np.zeros(6)]),
+             np.zeros((2, 6))]
+    _, full = _gauss_newton_step(np.stack(pairs), rng.standard_normal((4, 2)))
+    assert not full.any()
+
+
+def test_tangent_component_matches_lstsq_projection():
+    rng = np.random.default_rng(0x7A9)
+    for gap in (1.0, 1e-6, 0.0):
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            u, w, g = rng.standard_normal((3, n))
+            pair = np.stack([u, rng.standard_normal() * u + gap * w])
+            if rng.random() < 0.3:
+                pair[rng.integers(2)] = 0.0
+            jac = 2.0 * pair
+            ref = g - jac.T @ np.linalg.lstsq(jac.T, g, rcond=None)[0]
+            tangent = _tangent_component(pair[None], g[None])[0]
+            assert np.linalg.norm(tangent - ref) <= 1e-9 * np.linalg.norm(g)
+
+
+def test_lockstep_hill_climb_matches_the_per_restart_loop():
+    # The searches above rarely climb.  Here every row climbs |Q_C| for a
+    # random C toward 0.2 ||C||_F, from points on the joint zero set.  (Near
+    # 1e-6 ||C||_F the climb compares values that move with where inside the
+    # 1e-9 residual tolerance a projection stops, so the reference itself is
+    # no sharper than rounding there.)
+    rng = np.random.default_rng(0x4177)
+    for i in range(30):
+        n = 3 + i % 10
+        a, b = traceless_pair(n, rng)
+        c = random_symmetric(n, rng)
+        stack = _stacked(a, b)
+        z, ok = _project_rows(stack, rng.standard_normal((8, n)))
+        z = z[ok]
+        threshold = 0.2 * np.linalg.norm(c)
+        climbed, values = _hill_climb(stack, c, z.copy(), threshold)
+        an, bn = a.normalized().matrix, b.normalized().matrix
+        for row, start in enumerate(z):
+            point, value = ref_hill_climb(an, bn, c, start, threshold)
+            assert np.max(np.abs(climbed[row] - point)) <= 1e-12
+            assert values[row] == pytest.approx(value, rel=1e-12)
