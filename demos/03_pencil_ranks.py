@@ -5,7 +5,7 @@ Run:  python demos/03_pencil_ranks.py
 
 import numpy as np
 
-from localsolv import SymmetricForm, max_rank_element, nearby_basis, rank_at, rank_profile
+from localsolv import SymmetricForm, rank_at, rank_profile
 
 # A pencil with visible structure: two orthogonal hyperbolic blocks.
 a = SymmetricForm(np.diag([1.0, -1.0, 0.0, 0.0]))
@@ -37,9 +37,3 @@ profile2 = rank_profile(a2, b2)
 hits = [theta for theta, _ in profile2.drop_points if min(abs(theta - t0), abs(theta - t0 - np.pi)) < 1e-6]
 print(f"\nplanted drop at t0 = {t0}: found at {hits}")
 
-# A maximal-rank element and a nearby basis of the same span, useful when an
-# argument needs two close-by generators with the generic rank.
-theta_star, element = max_rank_element(a, b)
-print("\nmax-rank element at theta =", round(theta_star, 4), "with rank", np.linalg.matrix_rank(element.matrix))
-a_tilde, b_tilde = nearby_basis(a, b, eps=1e-3)
-print("nearby basis distance:", np.linalg.norm(b_tilde.matrix - a_tilde.matrix))

@@ -34,8 +34,6 @@ from .pencil import (
     pencil_element,
     rank_at,
     rank_profile,
-    max_rank_element,
-    nearby_basis,
 )
 from .witness import (
     WitnessResult,

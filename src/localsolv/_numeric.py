@@ -8,11 +8,9 @@ import numpy as np
 # numerical rank = #{ singular values > RANK_REL * s_max * max(shape) }.
 RANK_REL = 1e-9
 
-# Residual acceptance for trace certificates, relative to ||A||_F + ||B||_F.
+# Slacks on the unit-Frobenius pair (A / ||A||_F, B / ||B||_F): trace
+# certificate residuals, and eigenvalues in positive-semidefiniteness calls.
 CERT_REL = 1e-8
-
-# Eigenvalue slack for positive-semidefiniteness calls, relative to
-# ||A||_F + ||B||_F.
 EIG_REL = 1e-9
 
 # Absolute residual bound for points on a joint quadric zero set
@@ -108,7 +106,3 @@ def golden_section_minimize(f, lo: float, hi: float, iterations: int) -> tuple[f
         return c, fc
     return d, fd
 
-
-def golden_section_maximize(f, lo: float, hi: float, iterations: int) -> tuple[float, float]:
-    theta, value = golden_section_minimize(lambda t: -f(t), lo, hi, iterations)
-    return theta, -value

@@ -11,13 +11,17 @@ inertia of the element is constant, so it suffices to look at each singular
 angle and at one point of each arc between them (Guo-Higham-Tisseur 2009
 argue the same way for definite pairs).  A dense directional eigenvalue scan
 (`min_eig_scan`) survives only as the diagnostic `extreme_min_eig` of
-`is_non_dissipative`; no decision reads it.  Both entry points scale the
-pair by one power of two first (`forms.prescaled`).  The certificate is
-built in closed form from support points of the joint numerical range
+`is_non_dissipative`; no decision reads it.  The certificate is built in
+closed form from support points of the joint numerical range
 {(z.A.z, z.B.z) : |z| = 1}, which the extreme eigenvectors of the pencil
 elements give (Brickman 1961): once such points surround the origin, a
 convex combination of their rank-one projectors plus a multiple of the
 identity annihilates both traces.
+
+Every entry decides on the unit pair (`pencil.unit_pair`) with the constant
+slacks EIG_REL and CERT_REL, and reports angles and values at the caller's
+pencil.  Since M(theta) = rho(theta) M^(phi) with rho <= max(|A|_F, |B|_F),
+the slacks stay within EIG_REL and CERT_REL times |A|_F + |B|_F there.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numeric import CERT_REL, EIG_REL, RANK_REL, frob, golden_section_maximize
+from ._numeric import CERT_REL, EIG_REL, RANK_REL, frob, golden_section_minimize
 from .errors import InfeasiblePairError, NumericalInconclusiveError
-from .forms import SymmetricForm, prescaled, span_rank
-from .pencil import PencilReport, rank_profile
+from .forms import SymmetricForm, span_rank
+from .pencil import PencilReport, UnitPair, _element, rank_profile, unit_pair
 
 __all__ = [
     "Dissipativity",
@@ -132,22 +136,6 @@ class CertificateOutcome:
         return self.status is CertificateStatus.FOUND
 
 
-def _combination(a: SymmetricForm, b: SymmetricForm, theta: float) -> np.ndarray:
-    return math.cos(theta) * a.matrix + math.sin(theta) * b.matrix
-
-
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def eig_slack(a: SymmetricForm, b: SymmetricForm) -> float:
-    return EIG_REL * (a.frobenius() + b.frobenius())
-
-
-def cert_tolerance(a: SymmetricForm, b: SymmetricForm) -> float:
-    return CERT_REL * (a.frobenius() + b.frobenius())
-
-
 def min_eig_scan(a: SymmetricForm, b: SymmetricForm, grid_size: int = 256) -> DirectionalProfile:
     """Sample the smallest eigenvalue of the pencil over all directions."""
     if a.dim != b.dim:
@@ -158,52 +146,33 @@ def min_eig_scan(a: SymmetricForm, b: SymmetricForm, grid_size: int = 256) -> Di
     pos = np.empty(grid_size)
     neg = np.empty(grid_size)
     for i, t in enumerate(thetas):
-        m = _combination(a, b, float(t))
-        w = np.linalg.eigvalsh(m)
+        w = np.linalg.eigvalsh(_element(a, b, float(t)))
         pos[i] = w[0]
         neg[i] = -w[-1]
     return DirectionalProfile(thetas, pos, neg)
 
 
-def _dissipative(
-    a: SymmetricForm, b: SymmetricForm, theta: float, extreme: float, e: int
-) -> DissipativityVerdict:
-    """DISSIPATIVE at theta for a pair prescaled by 2**-e, valued at the pair's own scale."""
-    m = _combination(a, b, theta)
-    return DissipativityVerdict(
-        Dissipativity.DISSIPATIVE,
-        theta,
-        extreme,
-        math.ldexp(_min_eig(m), e),
-        math.ldexp(frob(m), e),
-    )
+def _dissipative(pair: UnitPair, phi: float, extreme: float) -> DissipativityVerdict:
+    """DISSIPATIVE at the unit angle phi, reported at the caller's angle and scale."""
+    m = pair.element(phi)
+    theta = pair.theta(phi) % (2.0 * math.pi)
+    values = (pair.value(theta, x) for x in (float(np.linalg.eigvalsh(m)[0]), frob(m)))
+    return DissipativityVerdict(Dissipativity.DISSIPATIVE, theta, extreme, *values)
 
 
-def _dependent_span_verdict(a: SymmetricForm, b: SymmetricForm, e: int) -> DissipativityVerdict:
+def _dependent_span_verdict(pair: UnitPair) -> DissipativityVerdict:
     # One-dimensional span: the pair is non-dissipative exactly when the
-    # generator is indefinite.
-    slack = eig_slack(a, b)
-    na, nb = a.frobenius(), b.frobenius()
-    if na >= nb:
-        gen, theta0 = a.matrix / na, 0.0
-        coeff = float(np.tensordot(b.matrix, a.matrix) / na**2)
-    else:
-        gen, theta0 = b.matrix / nb, math.pi / 2.0
-        coeff = float(np.tensordot(a.matrix, b.matrix) / nb**2)
-    w = np.linalg.eigvalsh(gen)
+    # generator is indefinite; extreme_min_eig is read on the generator.
+    gen = pair.generator()
+    w = np.linalg.eigvalsh(gen.matrix)
     lo, hi = float(w[0]), float(w[-1])
-    if lo < -slack and hi > slack:
+    if lo < -EIG_REL and hi > EIG_REL:
         return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, max(lo, -hi))
-    # Locate the angle pointing along +generator (or its negation when the
-    # generator is negative semidefinite).
-    if theta0 == 0.0:
-        theta = math.atan2(coeff, 1.0)
-    else:
-        theta = math.atan2(1.0, coeff)
-    if lo < -slack:  # generator NSD: the PSD element is the negation
-        theta += math.pi
-    theta %= 2.0 * math.pi
-    return _dissipative(a, b, theta, max(lo, -hi), e)
+    # M^(phi) = (alpha cos(phi) + beta sin(phi)) G: phi points along +G, or
+    # along -G when the generator is negative semidefinite.
+    alpha, beta = (float(np.tensordot(f.matrix, gen.matrix)) for f in (pair.a, pair.b))
+    phi = math.atan2(beta, alpha) + (math.pi if lo < -EIG_REL else 0.0)
+    return _dissipative(pair, phi, max(lo, -hi))
 
 
 def _inertia(w: np.ndarray, sign: int) -> tuple[int, int]:
@@ -214,6 +183,7 @@ def _inertia(w: np.ndarray, sign: int) -> tuple[int, int]:
 
 
 def _check_inertia(
+    pair: UnitPair,
     drops: list[tuple[float, int]],
     drop_spectra: list[np.ndarray],
     arc_spectra: list[np.ndarray],
@@ -240,13 +210,14 @@ def _check_inertia(
         return
     arcs = [_inertia(arc_spectra[j % k], 1 if j < k else -1) for j in range(2 * k)]
     for j in range(2 * k):
-        theta, rank = drops[j % k]
+        phi, rank = drops[j % k]
         at = _inertia(drop_spectra[j % k], 1 if j < k else -1)
         left, right = arcs[j - 1], arcs[j]
         for c in (0, 1):
             if at[c] > min(left[c], right[c]) or abs(left[c] - right[c]) > maxrank - rank:
                 raise NumericalInconclusiveError(
-                    f"inertia {at} at the rank-{rank} drop theta={theta + math.pi * (j >= k):.6f} "
+                    f"inertia {at} at the rank-{rank} drop "
+                    f"theta={pair.theta(phi + math.pi * (j >= k)) % (2.0 * math.pi):.6f} "
                     f"does not fit its arcs {left} and {right}: a rank drop is missing or misplaced"
                 )
 
@@ -257,34 +228,43 @@ def decide(
     """Exact dissipativity decision from the singular angles of the pencil.
 
     `profile` is `rank_profile(a, b)`, or None when A and B span one
-    dimension (decided from the definiteness of the generator).  M is
+    dimension (decided from the definiteness of the generator); its angles
+    are mapped to the unit pair, which is the identity on a unit pair.  M^ is
     evaluated at each drop angle and arc midpoint in [0, pi); one `eigvalsh`
-    covers the angle and its half-turn image, M(t + pi) = -M(t).  The pair
-    is DISSIPATIVE when the best smallest eigenvalue, `extreme_min_eig`,
-    clears -`eig_slack`, at the angle `theta` that attains it.
+    covers the angle and its half-turn image, M^(t + pi) = -M^(t).  The pair
+    is DISSIPATIVE when the best smallest eigenvalue clears -EIG_REL, at the
+    angle `theta` that attains it; `extreme_min_eig` is that eigenvalue.
     NON_DISSIPATIVE is returned only after the inertias pass
     `_check_inertia`; otherwise NumericalInconclusiveError is raised.
     """
-    (a, b), e = prescaled(a, b)
+    pair = unit_pair(a, b)
+    return _decide(pair, profile, pair.phi)
+
+
+def _decide(pair: UnitPair, profile: PencilReport | None, to_phi) -> DissipativityVerdict:
+    """`decide` on the unit pair, reading the profile's angles through to_phi."""
     if profile is None:
-        return _dependent_span_verdict(a, b, e)
-    drops = [(theta, rank) for theta, rank in profile.drop_points if theta < math.pi]
-    psis = [theta for theta, _ in drops]
+        return _dependent_span_verdict(pair)
+    drops = sorted(
+        (to_phi(theta) % math.pi, rank) for theta, rank in profile.drop_points if theta < math.pi
+    )
+    psis = [phi for phi, _ in drops]
     if psis:
         arc_angles = [0.5 * (x + y) for x, y in zip(psis, psis[1:] + [psis[0] + math.pi])]
     else:
-        arc_angles = [profile.generic_theta % math.pi]
-    drop_spectra = [np.linalg.eigvalsh(_combination(a, b, t)) for t in psis]
-    arc_spectra = [np.linalg.eigvalsh(_combination(a, b, t)) for t in arc_angles]
-    best_value, best_theta = -math.inf, 0.0
+        arc_angles = [to_phi(profile.generic_theta) % math.pi]
+    drop_spectra = [np.linalg.eigvalsh(pair.element(t)) for t in psis]
+    arc_spectra = [np.linalg.eigvalsh(pair.element(t)) for t in arc_angles]
+    best_value, best_phi = -math.inf, 0.0
     for t, w in zip(psis + arc_angles, drop_spectra + arc_spectra):
-        for value, theta in ((float(w[0]), t), (-float(w[-1]), t + math.pi)):
+        for value, phi in ((float(w[0]), t), (-float(w[-1]), t + math.pi)):
             if value > best_value:
-                best_value, best_theta = value, theta
-    if best_value >= -eig_slack(a, b):
-        return _dissipative(a, b, best_theta % (2.0 * math.pi), math.ldexp(best_value, e), e)
-    _check_inertia(drops, drop_spectra, arc_spectra, profile.maxrank)
-    return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, math.ldexp(best_value, e))
+                best_value, best_phi = value, phi
+    extreme = pair.value(pair.theta(best_phi), best_value)
+    if best_value >= -EIG_REL:
+        return _dissipative(pair, best_phi, extreme)
+    _check_inertia(pair, drops, drop_spectra, arc_spectra, profile.maxrank)
+    return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, extreme)
 
 
 def _scan_maximum(a: SymmetricForm, b: SymmetricForm) -> float:
@@ -296,14 +276,14 @@ def _scan_maximum(a: SymmetricForm, b: SymmetricForm) -> float:
     n = len(thetas)
     step = 2.0 * math.pi / n
 
-    def min_eig_at(theta: float) -> float:
-        return _min_eig(_combination(a, b, theta))
+    def neg_min_eig(theta: float) -> float:
+        return -float(np.linalg.eigvalsh(_element(a, b, theta))[0])
 
     best = float(np.max(values))
     for i in range(n):
         if values[i] >= values[(i - 1) % n] and values[i] >= values[(i + 1) % n]:
-            _, value = golden_section_maximize(min_eig_at, thetas[i] - step, thetas[i] + step, 60)
-            best = max(best, value)
+            _, value = golden_section_minimize(neg_min_eig, thetas[i] - step, thetas[i] + step, 60)
+            best = max(best, -value)
     return best
 
 
@@ -315,20 +295,20 @@ def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdi
     over the circle of the smallest eigenvalue, refined from a 256-angle
     scan (`_scan_maximum`) and taken together with the best value at the
     decision's angles, so a DISSIPATIVE report never shows a value below
-    -`eig_slack`.  Pairs spanning a single direction are decided from the
-    generator's definiteness.  The pair is scaled by one power of two
-    first, and every reported eigenvalue scaled back.
+    -EIG_REL (|A|_F + |B|_F).  Pairs spanning a single direction are decided
+    from the generator's definiteness.  The decision runs on the unit pair,
+    whose profile it reads unmapped; the scan runs on the caller's pair
+    divided by 2**e (`UnitPair`), and its value is scaled back.
     """
-    if a.dim != b.dim:
-        raise ValueError("forms have mismatched dimensions")
-    (sa, sb), e = prescaled(a, b)
-    rank = span_rank(sa, sb)
+    pair = unit_pair(a, b)
+    rank = span_rank(pair.a, pair.b)
     if rank == 0:
         raise ValueError("both forms vanish; the pair is undefined")
     if rank == 1:
-        return decide(a, b, None)
-    verdict = decide(a, b, rank_profile(a, b))
-    scanned = math.ldexp(_scan_maximum(sa, sb), e)
+        return _dependent_span_verdict(pair)
+    verdict = _decide(pair, rank_profile(pair.a, pair.b), lambda phi: phi)
+    scaled = (SymmetricForm(pair.ra * pair.a.matrix), SymmetricForm(pair.rb * pair.b.matrix))
+    scanned = math.ldexp(_scan_maximum(*scaled), pair.e)
     return replace(verdict, extreme_min_eig=max(verdict.extreme_min_eig, scanned))
 
 
@@ -346,7 +326,7 @@ def _surrounding_points(a: SymmetricForm, b: SymmetricForm):
     zs = np.empty((a.dim, 0))
     pending = [k * math.pi / 4.0 for k in range(4)]
     for calls in range(1, _SUPPORT_CALLS + 1):
-        _, v = np.linalg.eigh(_combination(a, b, pending.pop()))
+        _, v = np.linalg.eigh(_element(a, b, pending.pop()))
         zs = np.column_stack([zs, v[:, 0], v[:, -1]])
         if pending:
             continue
@@ -371,7 +351,7 @@ def _exit_point(a: SymmetricForm, b: SymmetricForm, d: np.ndarray):
     at r d, the point of the convex combination E of projectors z z^T (0 if none)."""
     if span_rank(a, b) == 1:
         # The range is a segment along d; the top point of M at d's angle ends it.
-        w, v = np.linalg.eigh(_combination(a, b, math.atan2(d[1], d[0])))
+        w, v = np.linalg.eigh(_element(a, b, math.atan2(d[1], d[0])))
         return 1, float(w[-1]), np.outer(v[:, -1], v[:, -1])
     found = _surrounding_points(a, b)
     if found is None:
@@ -393,18 +373,21 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
 
     A dissipative pair is INFEASIBLE with its PSD direction; every outcome
     carries the dissipativity decision as `verdict`.  Otherwise, on the
-    prescaled pair, let tau = (tr A, tr B) / n; the ray from 0 along -tau
+    unit pair (A^, B^), let tau = (tr A^, tr B^) / n; the ray from 0 along -tau
     leaves the range at r (`_exit_point`); P = (1 - eps) E + (eps / n) I with
     eps = r / (r + |tau|) has tr(P A) = tr(P B) = 0 and lambda_min(P) >= eps / n
     (I / n for a traceless pair).  Q = P^(1/2) is accepted when both residuals
-    are within `cert_tolerance` and P > 0; `iterations` counts `eigh` calls.
+    on the unit pair are within CERT_REL and P > 0; they are reported at the
+    caller's scale, |A|_F tr(P A^) and |B|_F tr(P B^).  `iterations` counts
+    `eigh` calls.
     """
     verdict = is_non_dissipative(a, b)
     if not verdict.non_dissipative:
         return CertificateOutcome(
             CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, verdict=verdict
         )
-    (a, b), e = prescaled(a, b)
+    pair = unit_pair(a, b)
+    a, b = pair.a, pair.b
     tau = np.array([np.trace(a.matrix), np.trace(b.matrix)]) / a.dim
     size = math.hypot(*tau)
     p, calls = np.eye(a.dim) / a.dim, 0
@@ -414,12 +397,12 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
         p = (1.0 - eps) * edge + eps * p
     w, vecs = np.linalg.eigh(p)
     residuals = [abs(float(np.tensordot(p, f.matrix))) for f in (a, b)]
-    if max(residuals) > cert_tolerance(a, b) or w[0] <= 0.0:
+    if max(residuals) > CERT_REL or w[0] <= 0.0:
         return CertificateOutcome(
             CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=calls, verdict=verdict
         )
     q = (vecs * np.sqrt(w)) @ vecs.T
-    residual_a, residual_b = (math.ldexp(x, e) for x in residuals)
+    residual_a, residual_b = pair.scaled(*residuals)
     certificate = TraceCertificate(q, residual_a, residual_b, float(np.sqrt(w[0])))
     return CertificateOutcome(
         CertificateStatus.FOUND, certificate, iterations=calls, verdict=verdict

@@ -51,7 +51,6 @@ __all__ = [
     "is_symplectic_subspace",
     "congruence",
     "span_rank",
-    "prescaled",
 ]
 
 
@@ -86,17 +85,30 @@ class SymmetricForm:
     def normalized(self) -> "SymmetricForm":
         """Unit-Frobenius rescaling; the zero form is returned unchanged.
 
-        The form is scaled by its power of two first (`prescaled`), so the
-        norm neither overflows nor underflows; in between that changes no bit.
-        Forms are immutable, so the result is kept: searches ask at each step.
+        The matrix is first scaled by the power of two that puts its largest
+        entry in [0.5, 1), so the norm neither overflows nor underflows.  The
+        result is kept, and it is its own normalization.
         """
-        return self._unit
+        unit = self._unit[0]
+        return self if unit is None else unit
+
+    def scale(self) -> tuple[float, int]:
+        """(m, e) with ||M||_F = m * 2**e: the form is m * 2**e times
+        `normalized()`; (1.0, 0) for a normalized form, (0.0, 0) for zero."""
+        return self._unit[1:]
 
     @functools.cached_property
-    def _unit(self) -> "SymmetricForm":
-        (form,), _ = prescaled(self)
-        norm = form.frobenius()
-        return SymmetricForm(form.matrix / norm) if norm > 0.0 else self
+    def _unit(self) -> tuple["SymmetricForm | None", float, int]:
+        # None stands for the form itself: a reference to it here would be a
+        # cycle, which only the garbage collector frees
+        e = math.frexp(float(np.max(np.abs(self.matrix), initial=0.0)))[1]
+        scaled = np.ldexp(self.matrix, -e)
+        norm = frob(scaled)
+        if norm == 0.0:
+            return None, 0.0, 0
+        unit = SymmetricForm(scaled / norm)
+        unit.__dict__["_unit"] = (None, 1.0, 0)
+        return unit, norm, e
 
     def rank(self) -> int:
         return numerical_rank(self.matrix)
@@ -338,19 +350,3 @@ def span_rank(*forms: SymmetricForm) -> int:
     _check_form_dims(*forms)
     stacked = np.column_stack([f.normalized().matrix.ravel() for f in forms])
     return numerical_rank(stacked)
-
-
-def prescaled(*forms: SymmetricForm) -> tuple[tuple[SymmetricForm, ...], int]:
-    """The forms times one power of two, 2**-e, and the exponent e.
-
-    e puts the largest entry of all the forms in [0.5, 1), so nothing built
-    from the scaled forms overflows or underflows; the scaling is exact, so
-    rank and sign decisions read the same as on the forms themselves, and a
-    scaled value v stands for ldexp(v, e).  All-zero forms come back as
-    they are, with e = 0.
-    """
-    peak = max(float(np.max(np.abs(f.matrix), initial=0.0)) for f in forms)
-    e = math.frexp(peak)[1]
-    if e == 0:
-        return forms, 0
-    return tuple(SymmetricForm(np.ldexp(f.matrix, -e)) for f in forms), e

@@ -1,13 +1,22 @@
 """Rank analysis over the two-parameter pencil spanned by a pair of forms.
 
 maxrank is the generic rank over the span, minrank the smallest rank of a
-nonzero element M(theta) = cos(theta) A + sin(theta) B.  Nine seeded probes
-give maxrank r and a generic angle theta_g.  For a generic orthonormal n x r
-matrix U, det(U^T M(theta) U) vanishes at every angle where M loses rank
-(rank completion, Hochstenbach-Mehl-Plestenjak, SIMAX 2019).  So with
-G = U^T M(theta_g) U and H = U^T M(theta_g + pi/2) U, every drop sits at
-theta_g + phi (and that angle + pi, since M(theta + pi) = -M(theta)) with
-tan(phi) = -1/lambda for a real eigenvalue lambda of G^-1 H.
+nonzero element M(theta) = cos(theta) A + sin(theta) B.
+
+Every decision runs on the unit-Frobenius pair (A^, B^) = (A / |A|_F,
+B / |B|_F) (`unit_pair`), which no separate scaling of A and B changes.  Its
+element M^(phi) = cos(phi) A^ + sin(phi) B^ is M(theta) / rho(theta) with
+theta = atan2(|A| sin(phi), |B| cos(phi)), rho = hypot(|A| cos(theta),
+|B| sin(theta)) <= max(|A|, |B|).  Only reported angles and values are mapped
+to the caller's pencil; no decision maps theta back to phi, which at
+|A| / |B| = 1e9 a float theta near pi/2 fixes only to about 1e-7.
+
+Nine seeded probes give maxrank r and a generic angle phi_g.  For a generic
+orthonormal n x r matrix U, det(U^T M^(phi) U) vanishes at every angle where
+M^ loses rank (rank completion, Hochstenbach-Mehl-Plestenjak, SIMAX 2019).
+So with G = U^T M^(phi_g) U and H = U^T M^(phi_g + pi/2) U, every drop sits
+at phi_g + delta (and that angle + pi, since M^(phi + pi) = -M^(phi)) with
+tan(delta) = -1/lambda for a real eigenvalue lambda of G^-1 H.
 
 One SVD confirms each candidate and gives the rank there.  Singular
 Kronecker blocks of the pencil (Van Dooren 1979) add spurious candidates,
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,15 +41,15 @@ from ._numeric import (
     rng_for,
 )
 from .errors import DependentPairError, ZeroElementError
-from .forms import SymmetricForm, prescaled, span_rank
+from .forms import SymmetricForm, span_rank
 
 __all__ = [
     "PencilReport",
+    "UnitPair",
+    "unit_pair",
     "pencil_element",
     "rank_at",
     "rank_profile",
-    "max_rank_element",
-    "nearby_basis",
 ]
 
 # Loose cut on |Im phi| for a compressed eigenvalue to give a candidate: a
@@ -69,6 +79,60 @@ class PencilReport:
             raise ValueError("drop points must have rank below maxrank")
 
 
+class UnitPair(NamedTuple):
+    """The unit-Frobenius pair (A^, B^) of a caller's pair (A, B), with
+    |A|_F = ra 2**e and |B|_F = rb 2**e.  A zero form takes the other's norm
+    (its unit form is zero, so any norm gives the same pencil).  Equal norms
+    make the maps the identity, so a unit pair is its own."""
+
+    a: SymmetricForm
+    b: SymmetricForm
+    ra: float
+    rb: float
+    e: int
+
+    def element(self, phi: float) -> np.ndarray:
+        return _element(self.a, self.b, phi)
+
+    def theta(self, phi: float) -> float:
+        """The caller's angle whose element is a positive multiple of M^(phi)."""
+        return _turn(self.ra, self.rb, phi)
+
+    def phi(self, theta: float) -> float:
+        """The unit angle of the caller's angle theta (inverse of `theta`)."""
+        return _turn(self.rb, self.ra, theta)
+
+    def value(self, theta: float, x: float) -> float:
+        """rho(theta) x: an eigenvalue or norm x of M^(phi) at the caller's scale."""
+        rho = math.hypot(self.ra * math.cos(theta), self.rb * math.sin(theta))
+        return math.ldexp(rho * x, self.e)
+
+    def scaled(self, xa: float, xb: float) -> tuple[float, float]:
+        """(|A| xa, |B| xb): values read against A^ and B^, at the caller's scale."""
+        return math.ldexp(self.ra * xa, self.e), math.ldexp(self.rb * xb, self.e)
+
+    def generator(self) -> SymmetricForm:
+        """Unit generator of a span that is one line: A^ + B^ or A^ - B^."""
+        sign = 1.0 if float(np.tensordot(self.a.matrix, self.b.matrix)) >= 0.0 else -1.0
+        return SymmetricForm(self.a.matrix + sign * self.b.matrix).normalized()
+
+
+def _turn(p: float, q: float, angle: float) -> float:
+    return angle if p == q else math.atan2(p * math.sin(angle), q * math.cos(angle))
+
+
+def unit_pair(a: SymmetricForm, b: SymmetricForm) -> UnitPair:
+    if a.dim != b.dim:
+        raise ValueError("forms have mismatched dimensions")
+    (ma, ea), (mb, eb) = a.scale(), b.scale()
+    if ma == 0.0:
+        ma, ea = mb, eb
+    if mb == 0.0:
+        mb, eb = ma, ea
+    e = max(ea, eb)
+    return UnitPair(a.normalized(), b.normalized(), math.ldexp(ma, ea - e), math.ldexp(mb, eb - e), e)
+
+
 def pencil_element(a: SymmetricForm, b: SymmetricForm, theta: float) -> SymmetricForm:
     return SymmetricForm(_element(a, b, theta))
 
@@ -77,11 +141,12 @@ def _element(a: SymmetricForm, b: SymmetricForm, theta: float) -> np.ndarray:
     return math.cos(theta) * a.matrix + math.sin(theta) * b.matrix
 
 
-def _spectrum(a: SymmetricForm, b: SymmetricForm, theta: float) -> np.ndarray:
-    """Singular values of the element at theta; raises if it vanishes."""
-    m = _element(a, b, theta)
-    if frob(m) <= RANK_REL * a.dim * max(a.frobenius() + b.frobenius(), 1e-300):
-        raise ZeroElementError(f"pencil element at theta={theta} vanishes")
+def _spectrum(a: SymmetricForm, b: SymmetricForm, phi: float) -> np.ndarray:
+    """Singular values of the unit pair's element at phi; raises if it
+    vanishes, which it can only where A^ and B^ span one line."""
+    m = _element(a, b, phi)
+    if frob(m) <= RANK_REL * a.dim:
+        raise ZeroElementError(f"pencil element at phi={phi} of the unit pair vanishes")
     return np.linalg.svd(m, compute_uv=False)
 
 
@@ -97,47 +162,45 @@ def _marginal(s: np.ndarray, rank: int) -> bool:
 
 def rank_at(a: SymmetricForm, b: SymmetricForm, theta: float) -> int:
     """Numerical rank of cos(theta) A + sin(theta) B."""
-    if a.dim != b.dim:
-        raise ValueError("forms have mismatched dimensions")
-    return _rank(_spectrum(a, b, theta))
+    pair = unit_pair(a, b)
+    return _rank(_spectrum(pair.a, pair.b, pair.phi(theta)))
 
 
 def _probe(
     a: SymmetricForm, b: SymmetricForm, seed: int
 ) -> tuple[int, float, np.ndarray, list[str]]:
-    """(maxrank, generic angle, its singular values, notes) from nine probes.
+    """(maxrank, generic angle, its singular values, notes) from nine probes
+    of the unit pair.
 
     The generic rank is read at a random direction and confirmed on eight
     more; the generic angle is the first probe that reaches it.
     """
-    if a.dim != b.dim:
-        raise ValueError("forms have mismatched dimensions")
     if span_rank(a, b) < 2:
         raise DependentPairError("forms are linearly dependent")
-    thetas = rng_for(seed, 0x9EC1).uniform(0.0, 2.0 * math.pi, size=9)
-    spectra = [_spectrum(a, b, float(t)) for t in thetas]
+    phis = rng_for(seed, 0x9EC1).uniform(0.0, 2.0 * math.pi, size=9)
+    spectra = [_spectrum(a, b, float(t)) for t in phis]
     ranks = [_rank(s) for s in spectra]
     best = int(np.argmax(ranks))
     notes = []
     if min(ranks) != ranks[best]:
         notes.append("generic rank probes disagreed; keeping the largest")
-    return ranks[best], float(thetas[best]), spectra[best], notes
+    return ranks[best], float(phis[best]), spectra[best], notes
 
 
 def _candidate_clusters(
-    a: SymmetricForm, b: SymmetricForm, theta_g: float, r: int, seed: int
+    a: SymmetricForm, b: SymmetricForm, phi_g: float, r: int, seed: int
 ) -> list[float]:
     """Candidate drop angles modulo pi, one per cluster of nearby eigenvalues."""
     u, _ = np.linalg.qr(rng_for(seed, 0xC0E5).standard_normal((a.dim, r)))
-    g = u.T @ _element(a, b, theta_g) @ u
-    h = u.T @ _element(a, b, theta_g + 0.5 * math.pi) @ u
+    g = u.T @ _element(a, b, phi_g) @ u
+    h = u.T @ _element(a, b, phi_g + 0.5 * math.pi) @ u
     lam = np.linalg.eigvals(np.linalg.solve(g, h)).astype(complex)
-    # tan(phi) = -1/lambda, written so that lambda = 0 gives phi = pi/2.
+    # tan(delta) = -1/lambda, written so that lambda = 0 gives delta = pi/2.
     # lambda = +-i (no real angle) gives an infinite imaginary part, which
     # the cut below drops.
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = 0.5 * math.pi + np.arctan(lam)
-    psi = np.sort(np.mod(theta_g + phi.real[np.abs(phi.imag) <= _IMAG_CUT], math.pi))
+        delta = 0.5 * math.pi + np.arctan(lam)
+    psi = np.sort(np.mod(phi_g + delta.real[np.abs(delta.imag) <= _IMAG_CUT], math.pi))
     groups: list[list[float]] = []
     for x in psi:
         if groups and x - groups[-1][-1] < _MERGE_GAP:
@@ -159,16 +222,17 @@ def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilRe
 
     Drops are the candidate angles of the compressed pencil whose element
     has rank below maxrank, each reported with its half-turn image.  The
-    pair is first scaled by one power of two (`forms.prescaled`), which
-    changes no rank or angle but keeps every element representable.
+    analysis runs on the unit pair (`unit_pair`), and every reported angle
+    is the caller's.
     """
-    (a, b), _ = prescaled(a, b)
-    maxrank, generic_theta, spectrum, notes = _probe(a, b, seed)
-    marginal = [generic_theta] if _marginal(spectrum, maxrank) else []
+    pair = unit_pair(a, b)
+    a, b = pair.a, pair.b
+    maxrank, generic_phi, spectrum, notes = _probe(a, b, seed)
+    marginal = [pair.theta(generic_phi) % (2.0 * math.pi)] if _marginal(spectrum, maxrank) else []
     marginal_drops: list[float] = []
     drops: list[tuple[float, int]] = []
     found: list[float] = []
-    for psi in _candidate_clusters(a, b, generic_theta, maxrank, seed):
+    for psi in _candidate_clusters(a, b, generic_phi, maxrank, seed):
         s = _spectrum(a, b, psi)
         if _rank(s) >= maxrank:
             psi, _ = golden_section_minimize(
@@ -182,14 +246,15 @@ def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilRe
         if rank >= maxrank:
             continue
         psi %= math.pi
-        if math.pi - psi < 1e-8:
-            psi = 0.0
         if any(_gap_mod_pi(psi, seen) < _MERGE_GAP for seen in found):
             continue
         found.append(psi)
-        drops.extend([(psi, rank), (psi + math.pi, rank)])
+        theta = pair.theta(psi) % math.pi
+        if math.pi - theta < 1e-8:
+            theta = 0.0
+        drops.extend([(theta, rank), (theta + math.pi, rank)])
         if _marginal(s, rank):
-            marginal_drops.extend([psi, psi + math.pi])
+            marginal_drops.extend([theta, theta + math.pi])
 
     drops.sort()
     minrank = min([rank for _, rank in drops], default=maxrank)
@@ -197,42 +262,7 @@ def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilRe
         maxrank=maxrank,
         minrank=minrank,
         drop_points=tuple(drops),
-        generic_theta=generic_theta,
+        generic_theta=pair.theta(generic_phi) % (2.0 * math.pi),
         marginal=tuple(marginal + sorted(marginal_drops)),
         notes=tuple(notes),
     )
-
-
-def max_rank_element(
-    a: SymmetricForm, b: SymmetricForm, seed: int = 42
-) -> tuple[float, SymmetricForm]:
-    """A Frobenius-normalized pencil element of generic (maximal) rank."""
-    _, theta, _, _ = _probe(a, b, seed)
-    return theta, pencil_element(a, b, theta).normalized()
-
-
-def nearby_basis(
-    a: SymmetricForm, b: SymmetricForm, eps: float, seed: int = 42
-) -> tuple[SymmetricForm, SymmetricForm]:
-    """Basis (A~, A~ + eps * U) of the span with A~ of maximal rank.
-
-    U is the unit-Frobenius complement of A~ inside the span, so the two
-    returned forms are eps apart while still spanning the original pencil.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    _, a_tilde = max_rank_element(a, b, seed=seed)
-    anchor = a_tilde.matrix.ravel()
-    complement = None
-    for candidate in (a.matrix.ravel(), b.matrix.ravel()):
-        residual = candidate - (candidate @ anchor) * anchor
-        norm = float(np.linalg.norm(residual))
-        if norm > 1e-10 * max(float(np.linalg.norm(candidate)), 1.0):
-            complement = residual / norm
-            break
-    if complement is None:
-        raise DependentPairError("span collapsed while building the nearby basis")
-    b_tilde = SymmetricForm(a_tilde.matrix + eps * complement.reshape(a.dim, a.dim))
-    if span_rank(a_tilde, b_tilde) != 2 or span_rank(a, b, a_tilde, b_tilde) != 2:
-        raise DependentPairError("nearby basis failed to preserve the span")
-    return a_tilde, b_tilde

@@ -46,7 +46,7 @@ from .forms import (
     poisson_bracket,
     span_rank,
 )
-from .pencil import pencil_element, rank_profile
+from .pencil import pencil_element, rank_profile, unit_pair
 
 __all__ = [
     "WitnessResult",
@@ -473,9 +473,7 @@ def zero_set_gap(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> float:
     decision's angle is the best of angles that include the middle of every
     arc between singular angles, so it finds one.
     """
-    if a.dim != b.dim:
-        raise ValueError("forms have mismatched dimensions")
-    an, bn = a.normalized(), b.normalized()
+    an, bn, *_ = unit_pair(a, b)
     if a.dim == 2:
         return _plane_gap(an.matrix, bn.matrix)
     rank = span_rank(an, bn)
@@ -646,11 +644,13 @@ def hypothesis_report(
 
     Branch I requires minrank >= 3 and maxrank >= 17; branch II requires
     minrank = 2, maxrank >= 9 and a trivial or symplectic joint radical.
+    Every condition is read on the unit pair (`pencil.unit_pair`); the
+    angles in the notes are the caller's.
     """
-    if a.dim != b.dim:
-        raise ValueError("forms have mismatched dimensions")
+    pair = unit_pair(a, b)
     if a.dim != structure.two_d:
         raise ValueError("forms do not match the pairing dimension")
+    a, b = pair.a, pair.b
     notes: list[str] = []
     pair_rank = span_rank(a, b)
     if pair_rank == 0:
@@ -658,18 +658,16 @@ def hypothesis_report(
 
     if pair_rank < 2:
         profile = None
-        dominant = a if a.frobenius() >= b.frobenius() else b
-        minrank = maxrank = dominant.rank()
+        minrank = maxrank = pair.generator().rank()
         independent = False
         notes.append("pencil is one-dimensional; ranks taken from its generator")
     else:
         profile = rank_profile(a, b, seed=seed)
         minrank, maxrank = profile.minrank, profile.maxrank
-        for theta in profile.marginal:
-            notes.append(f"marginal rank decision near theta={theta:.6f}")
+        for phi in profile.marginal:
+            notes.append(f"marginal rank decision near theta={pair.theta(phi) % (2.0 * np.pi):.6f}")
         # C of the unit pair, not rescaled: a commuting pair's noise stays under the cut
-        unit = (a.normalized(), b.normalized())
-        unit += (poisson_bracket(*unit, structure),)
+        unit = (a, b, poisson_bracket(a, b, structure))
         independent = numerical_rank(np.column_stack([f.matrix.ravel() for f in unit])) == 3
     verdict = decide(a, b, profile)
 

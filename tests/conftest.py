@@ -9,6 +9,13 @@ import numpy as np
 import pytest
 
 from localsolv import SymmetricForm, SymplecticStructure
+from localsolv._numeric import CERT_REL, EIG_REL
+
+
+def scale_bound(rel, a, b):
+    """rel (|A|_F + |B|_F): a slack of the library (EIG_REL, CERT_REL) at the
+    scale of the caller's pair, which every reported value must respect."""
+    return rel * (a.frobenius() + b.frobenius())
 
 
 def random_symmetric(n, rng, scale=1.0):

@@ -32,8 +32,8 @@ from localsolv import (
     transversality_witness,
     two_step_verdict,
 )
+from localsolv._numeric import CERT_REL, EIG_REL
 from localsolv.cli import main
-from localsolv.dissipativity import cert_tolerance, eig_slack
 from localsolv.checker import PointSymbolSpec, point_symbol_verdict
 from conftest import (
     branch_one_instance,
@@ -43,6 +43,7 @@ from conftest import (
     random_skew_structure,
     random_symmetric,
     rank2_hyperbolic,
+    scale_bound,
     traceless_pair,
 )
 
@@ -116,8 +117,8 @@ def test_criterion_2_certificate_equivalence():
         ok = (
             verdict.non_dissipative
             and outcome.status is CertificateStatus.FOUND
-            and outcome.certificate.residual_a <= cert_tolerance(a, b)
-            and outcome.certificate.residual_b <= cert_tolerance(a, b)
+            and outcome.certificate.residual_a <= scale_bound(CERT_REL, a, b)
+            and outcome.certificate.residual_b <= scale_bound(CERT_REL, a, b)
             and outcome.certificate.min_eig_q > 0.0
         )
         if not ok:
@@ -132,7 +133,7 @@ def test_criterion_2_certificate_equivalence():
         if verdict.theta is not None:
             m = np.cos(verdict.theta) * a.matrix + np.sin(verdict.theta) * b.matrix
             witness_psd = (
-                float(np.linalg.eigvalsh(m)[0]) >= -eig_slack(a, b)
+                float(np.linalg.eigvalsh(m)[0]) >= -scale_bound(EIG_REL, a, b)
                 and np.linalg.norm(m) > 1e-9
             )
         ok = (

@@ -19,7 +19,8 @@ from localsolv import (
     trace_normalize,
 )
 from localsolv import dissipativity, pencil, rank_profile, witness
-from localsolv.dissipativity import Dissipativity, cert_tolerance, decide, eig_slack
+from localsolv._numeric import CERT_REL, EIG_REL
+from localsolv.dissipativity import Dissipativity, decide
 from localsolv.errors import InfeasiblePairError, NumericalInconclusiveError
 from localsolv.fixtures import all_fixtures
 from localsolv.forms import SymplecticStructure
@@ -29,6 +30,7 @@ from conftest import (
     haar_congruence,
     l1_block,
     random_symmetric,
+    scale_bound,
     traceless_pair,
 )
 
@@ -51,7 +53,7 @@ def test_psd_sum_is_dissipative():
     assert not verdict.non_dissipative
     # the found combination really is PSD and nonzero
     m = np.cos(verdict.theta) * a.matrix + np.sin(verdict.theta) * b.matrix
-    assert np.linalg.eigvalsh(m)[0] >= -eig_slack(a, b)
+    assert np.linalg.eigvalsh(m)[0] >= -scale_bound(EIG_REL, a, b)
     assert np.linalg.norm(m) > 1e-9
 
 
@@ -131,7 +133,7 @@ def test_random_verdicts_match_scan_oracle(rng):
         b = SymmetricForm(random_symmetric(n, rng))
         verdict = is_non_dissipative(a, b)
         oracle = scan_oracle(a, b, grid=4_000)
-        slack = eig_slack(a, b)
+        slack = scale_bound(EIG_REL, a, b)
         if oracle > 1e-6:
             assert not verdict.non_dissipative
         elif oracle < -1e-6:
@@ -153,7 +155,7 @@ def test_constructed_dissipative_pairs_detected(rng):
         assert not verdict.non_dissipative
         # witness angle locates a genuinely PSD nonzero combination
         m = np.cos(verdict.theta) * a.matrix + np.sin(verdict.theta) * b.matrix
-        assert np.linalg.eigvalsh(m)[0] >= -eig_slack(a, b)
+        assert np.linalg.eigvalsh(m)[0] >= -scale_bound(EIG_REL, a, b)
         assert np.linalg.norm(m) >= 1e-9
 
 
@@ -175,8 +177,8 @@ def test_certificate_for_traceless_pair_is_scaled_identity():
     assert outcome.found
     cert = outcome.certificate
     assert np.allclose(cert.q, cert.q[0, 0] * np.eye(2))
-    assert cert.residual_a <= cert_tolerance(a, b)
-    assert cert.residual_b <= cert_tolerance(a, b)
+    assert cert.residual_a <= scale_bound(CERT_REL, a, b)
+    assert cert.residual_b <= scale_bound(CERT_REL, a, b)
     assert cert.min_eig_q > 0.0
 
 
@@ -196,7 +198,7 @@ def test_certificates_under_random_congruence(rng):
         assert outcome.found
         cert = outcome.certificate
         q = cert.q
-        tol = cert_tolerance(a, b)
+        tol = scale_bound(CERT_REL, a, b)
         # defining identities, recomputed from scratch
         assert abs(np.trace(q @ a.matrix @ q)) <= tol
         assert abs(np.trace(q @ b.matrix @ q)) <= tol
@@ -217,7 +219,7 @@ def test_trace_normalize_kills_traces(rng):
     a0, b0 = traceless_pair(6, rng)
     a, b, _ = congruent_pair(a0, b0, rng)
     a2, b2, q = trace_normalize(a, b)
-    tol = cert_tolerance(a, b)
+    tol = scale_bound(CERT_REL, a, b)
     assert abs(np.trace(a2.matrix)) <= tol
     assert abs(np.trace(b2.matrix)) <= tol
     assert np.allclose(a2.matrix, q @ a.matrix @ q)
@@ -242,9 +244,9 @@ def assert_agrees(a, b, verdict, oracle, margin=1e-6):
     assert verdict.non_dissipative == (oracle < 0.0), (oracle, verdict)
     if not verdict.non_dissipative:
         m = np.cos(verdict.theta) * a.matrix + np.sin(verdict.theta) * b.matrix
-        assert np.linalg.eigvalsh(m)[0] >= -eig_slack(a, b)
-        assert verdict.witness_min_eig >= -eig_slack(a, b)
-        assert verdict.extreme_min_eig >= -eig_slack(a, b)
+        assert np.linalg.eigvalsh(m)[0] >= -scale_bound(EIG_REL, a, b)
+        assert verdict.witness_min_eig >= -scale_bound(EIG_REL, a, b)
+        assert verdict.extreme_min_eig >= -scale_bound(EIG_REL, a, b)
 
 
 def planted_pair(phi, radii, p):
@@ -313,9 +315,9 @@ def test_decision_finds_psd_element_at_a_single_singular_angle(n, k):
     gap = abs(verdict.theta - theta0) % (2.0 * np.pi)
     assert min(gap, 2.0 * np.pi - gap) < 1e-6
     assert scan_oracle(a, b) < -1e-6
-    assert scan_oracle(a, b, extra=[verdict.theta]) >= -eig_slack(a, b)
+    assert scan_oracle(a, b, extra=[verdict.theta]) >= -scale_bound(EIG_REL, a, b)
     m = np.cos(verdict.theta) * a.matrix + np.sin(verdict.theta) * b.matrix
-    assert np.linalg.eigvalsh(m)[0] >= -eig_slack(a, b)
+    assert np.linalg.eigvalsh(m)[0] >= -scale_bound(EIG_REL, a, b)
     assert is_non_dissipative(a, b).kind is Dissipativity.DISSIPATIVE
 
 
@@ -452,7 +454,7 @@ def test_dissipative_pair_at_extreme_scales(s):
         assert verdict.kind is Dissipativity.DISSIPATIVE
         assert verdict.theta == pytest.approx(reference.theta, abs=1e-12)
         m = np.cos(verdict.theta) * a1.matrix + np.sin(verdict.theta) * b1.matrix
-        assert np.linalg.eigvalsh(m)[0] >= -eig_slack(a1, b1)
+        assert np.linalg.eigvalsh(m)[0] >= -scale_bound(EIG_REL, a1, b1)
         assert verdict.witness_min_eig / s == pytest.approx(reference.witness_min_eig)
         assert verdict.witness_norm / s == pytest.approx(reference.witness_norm)
     assert is_non_dissipative(a, b).extreme_min_eig / s == pytest.approx(

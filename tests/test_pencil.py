@@ -11,12 +11,8 @@ from localsolv import (
     VerdictOutcome,
     heisenberg_verdict,
     is_non_dissipative,
-    max_rank_element,
-    nearby_basis,
-    pencil_element,
     rank_at,
     rank_profile,
-    span_rank,
 )
 from localsolv import pencil
 from localsolv._numeric import golden_section_minimize, rank_tolerance
@@ -222,44 +218,6 @@ def test_minrank_at_least_two_for_non_dissipative_pairs(rng):
         a, b = traceless_pair(6, rng)
         assert is_non_dissipative(a, b).non_dissipative
         assert rank_profile(a, b).minrank >= 2
-
-
-def test_max_rank_element(rng):
-    a = SymmetricForm(np.diag([1.0, -1.0, 0.0, 0.0]))
-    b = SymmetricForm(np.diag([0.0, 0.0, 1.0, -1.0]))
-    theta, element = max_rank_element(a, b)
-    assert np.linalg.matrix_rank(element.matrix) == 4
-    assert element.frobenius() == pytest.approx(1.0)
-    # the element really lies on the pencil through the reported angle
-    rebuilt = pencil_element(a, b, theta).normalized()
-    assert np.allclose(element.matrix, rebuilt.matrix)
-
-
-def test_max_rank_element_dependent_pair(rng):
-    a, _ = traceless_pair(3, rng)
-    with pytest.raises(DependentPairError):
-        max_rank_element(a, SymmetricForm(-a.matrix))
-
-
-def test_nearby_basis_distance_and_span(rng):
-    a, b = quartet_pair()
-    a_tilde, b_tilde = nearby_basis(a, b, 1e-3)
-    assert np.linalg.norm(b_tilde.matrix - a_tilde.matrix) == pytest.approx(1e-3)
-    assert np.linalg.matrix_rank(a_tilde.matrix) == 4
-    assert span_rank(a_tilde, b_tilde) == 2
-    assert span_rank(a, b, a_tilde, b_tilde) == 2
-
-
-def test_nearby_basis_requires_independent_pair(rng):
-    a, _ = traceless_pair(4, rng)
-    with pytest.raises(DependentPairError):
-        nearby_basis(a, SymmetricForm(0.5 * a.matrix), 1e-3)
-
-
-def test_nearby_basis_rejects_nonpositive_eps(rng):
-    a, b = traceless_pair(4, rng)
-    with pytest.raises(ValueError):
-        nearby_basis(a, b, 0.0)
 
 
 def test_rank_profile_l1_block_has_no_drops():

@@ -1,0 +1,229 @@
+"""Verdicts do not depend on the scales of A and B, nor on the other changes
+the theory allows: a symplectic congruence, a phase rotation of A + iB and
+the sign convention of the bracket.
+
+The pairs come from the benchmark's planted pencils (bench/planted.py, read
+only), whose ranks, radicals and dissipativity are known by construction.
+"""
+
+import importlib.util
+import json
+import math
+import pathlib
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from localsolv import (
+    Branch,
+    CertificateStatus,
+    HeisenbergOperatorSpec,
+    RadicalStatus,
+    SymmetricForm,
+    VerdictOutcome,
+    heisenberg_verdict,
+    trace_certificate,
+)
+from localsolv.cli import main
+from conftest import branch_one_instance
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses and `checks` look it up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    saved = {name: sys.modules.get(name) for name in ("planted", "checks")}
+    try:
+        yield SimpleNamespace(planted=_load("planted"), checks=_load("checks"))
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+
+
+def family(bench, seed, mult=(17, 1, 1), zeros=1):
+    """A planted n = 20 pair: classes `mult`, `zeros` zero radii, kappa 4."""
+    return bench.planted.planted_classes(
+        20, list(mult), zeros, np.random.default_rng([seed, 0x3E0]), separation=0.3, kappa=4.0
+    )
+
+
+def outcome(verdict):
+    h = verdict.hypothesis
+    return verdict.outcome, h.minrank, h.maxrank, h.radical_status, verdict.condition_c
+
+
+def cli_report(tmp_path, capsys, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, str(path)])
+    out = capsys.readouterr().out
+    return code, json.loads(out)["result"] if out else None
+
+
+def cli_outcome(tmp_path, capsys, a, b):
+    payload = {"d": len(a) // 2, "A_re": a.tolist(), "A_im": b.tolist()}
+    code, result = cli_report(tmp_path, capsys, "check-heisenberg", payload)
+    assert code == 0
+    h = result["hypothesis"]
+    return (
+        VerdictOutcome(result["outcome"]),
+        h["minrank"],
+        h["maxrank"],
+        RadicalStatus(h["radical_status"]),
+        Branch(result["condition_c"]),
+    )
+
+
+def verdict_both_ways(tmp_path, capsys, a, b):
+    """The verdict of heisenberg_verdict, checked equal to check-heisenberg's."""
+    spec = HeisenbergOperatorSpec(len(a) // 2, SymmetricForm(a), SymmetricForm(b))
+    verdict = outcome(heisenberg_verdict(spec))
+    assert cli_outcome(tmp_path, capsys, a, b) == verdict
+    return verdict
+
+
+# ---------------------------------------------------------------------------
+# separate scaling: a lost drop must not become NOT_LOCALLY_SOLVABLE
+
+DEGENERATE_DROP = (VerdictOutcome.INCONCLUSIVE, 2, 19, RadicalStatus.DEGENERATE, Branch.NONE)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 16])
+def test_scaled_real_part_keeps_the_deep_drop(bench, tmp_path, capsys, seed):
+    # With A_re x 1e6 every drop lies within 1.5e-5 of pi/2; the 17-fold drop
+    # to rank 2 was lost and branch I claimed
+    pair = family(bench, seed)
+    assert verdict_both_ways(tmp_path, capsys, 1e6 * pair.a, pair.b) == DEGENERATE_DROP
+
+
+@pytest.mark.parametrize("fa, fb", [(1e5, 1.0), (1e6, 1.0), (1e9, 1.0), (1.0, 1e6)])
+def test_scaled_family_keeps_its_verdict(bench, tmp_path, capsys, fa, fb):
+    for seed in range(100):
+        pair = family(bench, seed)
+        verdict = verdict_both_ways(tmp_path, capsys, fa * pair.a, fb * pair.b)
+        assert verdict == DEGENERATE_DROP, seed
+
+
+@pytest.mark.parametrize("fa", [1e6, 1e9])
+def test_scaled_branch_two_family(bench, tmp_path, capsys, fa):
+    # no zero radius: minrank 2, maxrank 20 and a trivial radical, branch II
+    expected = (VerdictOutcome.NOT_LOCALLY_SOLVABLE, 2, 20, RadicalStatus.TRIVIAL, Branch.II)
+    for seed in range(40):
+        pair = family(bench, seed, mult=(18, 1, 1), zeros=0)
+        assert verdict_both_ways(tmp_path, capsys, fa * pair.a, pair.b) == expected, seed
+
+
+def certificate_report(outcome):
+    return {
+        "verdict": outcome.verdict.kind.value,
+        "certificate_status": outcome.status.value,
+        "certificate": {"Q": outcome.certificate.q.tolist()} if outcome.found else None,
+    }
+
+
+@pytest.mark.parametrize("n", [18, 20])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scaled_branch_one_pairs(bench, tmp_path, capsys, n, seed):
+    # a traceless pair with A x 1e6: the inertia check used to raise
+    a, b = branch_one_instance(n, seed)
+    a, b = 1e6 * a.matrix, b.matrix
+    assert verdict_both_ways(tmp_path, capsys, a, b)[:1] == (VerdictOutcome.NOT_LOCALLY_SOLVABLE,)
+    outcome = trace_certificate(SymmetricForm(a), SymmetricForm(b))
+    assert outcome.status is CertificateStatus.FOUND
+    truth = {"pair": SimpleNamespace(dissipative=False), "a": a, "b": b}
+    bench.checks.check_certificate(SimpleNamespace(truth=truth), certificate_report(outcome))
+
+
+def test_cli_pencil_and_certificate_at_a_billion(bench, tmp_path, capsys):
+    # the element at theta ~ pi/2 was taken for zero: both commands exited 2
+    pair = family(bench, 0)
+    a, b = 1e9 * pair.a, pair.b
+    payload = {"n": 20, "A": a.tolist(), "B": b.tolist()}
+    code, pencil = cli_report(tmp_path, capsys, "pencil", payload)
+    assert code == 0
+    assert (pencil["maxrank"], pencil["minrank"]) == (pair.maxrank, pair.minrank)
+    ranks = sorted(drop["rank"] for drop in pencil["drop_points"])
+    assert ranks == sorted(rank for _, rank in pair.drop_points())
+    code, result = cli_report(tmp_path, capsys, "dissipativity", payload)
+    assert code == 0
+    truth = {"pair": pair, "a": a, "b": b}
+    bench.checks.check_certificate(SimpleNamespace(truth=truth), result)
+
+
+# ---------------------------------------------------------------------------
+# invariance, as a property
+
+
+def symplectic_matrix(d, rng):
+    """[[X, 0], [0, X^-T]] [[I, Y], [0, I]]: X has singular values in [1, 2],
+    and Y is symmetric with entries of about 1/4."""
+    u, v = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+    x = u @ np.diag(np.geomspace(1.0, 2.0, d)) @ v.T
+    y = 0.25 * rng.standard_normal((d, d))
+    shear = np.block([[np.eye(d), y + y.T], [np.zeros((d, d)), np.eye(d)]])
+    return np.block([[x, np.zeros((d, d))], [np.zeros((d, d)), np.linalg.inv(x).T]]) @ shear
+
+
+def transformed(a, b, kind, rng):
+    """(A, B) after one change that leaves every condition as it is."""
+    n = len(a)
+    if kind == "scale":
+        i, j = rng.integers(-150, 151, 2)
+        return 10.0 ** i * a, 10.0 ** j * b
+    if kind == "symplectic":
+        s = symplectic_matrix(n // 2, rng)
+        return s.T @ a @ s, s.T @ b @ s
+    if kind == "phase":
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        return math.cos(phi) * a - math.sin(phi) * b, math.sin(phi) * a + math.cos(phi) * b
+    # momenta listed first: an anti-symplectic swap flips the bracket's sign
+    d = n // 2
+    swap = np.block([[np.zeros((d, d)), np.eye(d)], [np.eye(d), np.zeros((d, d))]])
+    return swap @ a @ swap, swap @ b @ swap
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 10),
+    classes=st.integers(2, 5),
+    zeros=st.integers(0, 2),
+    dissipative=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verdict_is_invariant(bench, d, classes, zeros, dissipative, seed):
+    n = 2 * d
+    assume(classes + zeros <= n)
+    rng = np.random.default_rng(seed)
+    # class sizes: the first takes what the others leave
+    rest = rng.integers(1, 3, classes - 1)
+    mult = [n - zeros - int(rest.sum())] + rest.tolist()
+    assume(mult[0] >= 1)
+    try:
+        pair = bench.planted.planted_classes(
+            n, mult, zeros, rng, separation=0.3, kappa=4.0, dissipative=dissipative
+        )
+    except ValueError:  # no draw of these classes clears the cut
+        assume(False)
+    a, b = pair.a, pair.b
+    spec = HeisenbergOperatorSpec(d, SymmetricForm(a), SymmetricForm(b))
+    reference = outcome(heisenberg_verdict(spec))
+    assert reference[1:3] == (pair.minrank, pair.maxrank)
+    for kind in ("scale", "symplectic", "phase", "swap"):
+        a2, b2 = transformed(a, b, kind, rng)
+        spec = HeisenbergOperatorSpec(d, SymmetricForm(a2), SymmetricForm(b2))
+        assert outcome(heisenberg_verdict(spec)) == reference, kind
