@@ -5,13 +5,7 @@ Run:  python demos/02_dissipativity_certificates.py
 
 import numpy as np
 
-from localsolv import (
-    SymmetricForm,
-    is_non_dissipative,
-    min_eig_scan,
-    trace_certificate,
-    trace_normalize,
-)
+from localsolv import SymmetricForm, is_non_dissipative, pencil_element, trace_certificate
 
 # A pair is non-dissipative when no nonzero combination cos(t)A + sin(t)B is
 # positive semidefinite.  Two hyperbolic plane forms qualify: every
@@ -24,10 +18,12 @@ print("largest smallest-eigenvalue over all directions:", verdict.extreme_min_ei
 
 # The decision itself evaluates the pencil only at its rank-drop angles and
 # at the midpoints of the arcs between them (this pair has no drops, so one
-# angle suffices); the reported extreme above is a diagnostic, the maximum of
-# the directional profile sampled here and refined.
-profile = min_eig_scan(a, b, grid_size=16)
-for theta, value in list(zip(profile.full_thetas, profile.full_min_eigs))[:6]:
+# angle suffices).  The reported extreme above is a diagnostic: the maximum
+# over all directions of the smallest eigenvalue, polished from the
+# decision's best angle by golden section and shown to be the maximum by
+# one level-set computation.  Here it is -1 at every angle, as a few show:
+for theta in np.linspace(0.0, np.pi, 6, endpoint=False):
+    value = np.linalg.eigvalsh(pencil_element(a, b, theta).matrix)[0]
     print(f"  theta={theta:5.2f}  min eig = {value:+.4f}")
 
 # A dissipative pair: the sum of the two squares is positive semidefinite.
@@ -51,11 +47,12 @@ print("residuals:", cert.residual_a, cert.residual_b, " min eig of Q:", cert.min
 # For the dissipative pair the same search is infeasible.
 print("\ncoordinate squares certificate:", trace_certificate(d1, d2).status.value)
 
-# trace_normalize rewrites the pair in coordinates where both traces vanish.
+# The congruence by Q rewrites the pair in coordinates where both traces
+# vanish.
 rng = np.random.default_rng(3)
 t = rng.standard_normal((2, 2)) + 2 * np.eye(2)
 skewed_a = SymmetricForm(t.T @ a.matrix @ t)
 skewed_b = SymmetricForm(t.T @ b.matrix @ t)
 print("\ntraces before:", np.trace(skewed_a.matrix), np.trace(skewed_b.matrix))
-a2, b2, q = trace_normalize(skewed_a, skewed_b)
-print("traces after: ", np.trace(a2.matrix), np.trace(b2.matrix))
+q = trace_certificate(skewed_a, skewed_b).certificate.q
+print("traces after: ", np.trace(q @ skewed_a.matrix @ q), np.trace(q @ skewed_b.matrix @ q))

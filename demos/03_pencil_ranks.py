@@ -5,14 +5,14 @@ Run:  python demos/03_pencil_ranks.py
 
 import numpy as np
 
-from localsolv import SymmetricForm, rank_at, rank_profile
+from localsolv import SymmetricForm, pencil_element, rank_profile
 
 # A pencil with visible structure: two orthogonal hyperbolic blocks.
 a = SymmetricForm(np.diag([1.0, -1.0, 0.0, 0.0]))
 b = SymmetricForm(np.diag([0.0, 0.0, 1.0, -1.0]))
 
-print("rank at theta=0:     ", rank_at(a, b, 0.0))
-print("rank at theta=pi/4:  ", rank_at(a, b, np.pi / 4))
+print("rank at theta=0:     ", pencil_element(a, b, 0.0).rank())
+print("rank at theta=pi/4:  ", pencil_element(a, b, np.pi / 4).rank())
 
 profile = rank_profile(a, b)
 print("\ngeneric (max) rank:", profile.maxrank)

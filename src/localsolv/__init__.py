@@ -20,19 +20,15 @@ from .forms import (
 from .dissipativity import (
     Dissipativity,
     DissipativityVerdict,
-    DirectionalProfile,
     TraceCertificate,
     CertificateStatus,
     CertificateOutcome,
-    min_eig_scan,
     is_non_dissipative,
     trace_certificate,
-    trace_normalize,
 )
 from .pencil import (
     PencilReport,
     pencil_element,
-    rank_at,
     rank_profile,
 )
 from .witness import (

@@ -9,9 +9,12 @@ cos(theta) A + sin(theta) B nonzero and positive semidefinite.
 `pencil.rank_profile` computes: between consecutive singular angles the
 inertia of the element is constant, so it suffices to look at each singular
 angle and at one point of each arc between them (Guo-Higham-Tisseur 2009
-argue the same way for definite pairs).  A dense directional eigenvalue scan
-(`min_eig_scan`) survives only as the diagnostic `extreme_min_eig` of
-`is_non_dissipative`; no decision reads it.  The certificate is built in
+argue the same way for definite pairs).  `is_non_dissipative` also reports
+the diagnostic `extreme_min_eig`, the maximum over the circle of the
+smallest eigenvalue, which no decision reads: a golden-section polish from
+the decision's best angle, and one level-set check (Boyd-Balakrishnan
+1990, as Higham-Tisseur-Van Dooren 2002 use it for the Crawford number)
+that no arc rises above it.  The certificate is built in
 closed form from support points of the joint numerical range
 {(z.A.z, z.B.z) : |z| = 1}, which the extreme eigenvectors of the pencil
 elements give (Brickman 1961): once such points surround the origin, a
@@ -33,26 +36,35 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._numeric import CERT_REL, EIG_REL, RANK_REL, frob, golden_section_minimize
-from .errors import InfeasiblePairError, NumericalInconclusiveError
+from .errors import NumericalInconclusiveError
 from .forms import SymmetricForm, span_rank
 from .pencil import PencilReport, UnitPair, _element, rank_profile, unit_pair
 
 __all__ = [
     "Dissipativity",
     "DissipativityVerdict",
-    "DirectionalProfile",
     "TraceCertificate",
     "CertificateStatus",
     "CertificateOutcome",
-    "min_eig_scan",
     "decide",
     "is_non_dissipative",
     "trace_certificate",
-    "trace_normalize",
 ]
 
 # `eigh` calls the certificate's support search may spend.
 _SUPPORT_CALLS = 32
+# Golden-section steps of the polish in `_max_min_eig`: the bracket shrinks
+# by 0.618**48, about 1e-10.  A kink left short of its peak by more than
+# _LEVEL_REL is found again by the level-set round.
+_POLISH_STEPS = 48
+# A level-set round of `_max_min_eig` continues only from a midpoint whose
+# smallest eigenvalue clears the value by this much of |A|_F + |B|_F.
+_LEVEL_REL = 1e-13
+# Loose cut on |Im x| for a level angle x: a spurious angle only adds an arc
+# midpoint to check, while a lost one could hide an arc above the level.
+_LEVEL_IMAG = 1e-3
+# Level-set rounds of `_max_min_eig`; two sufficed on every pair tried.
+_LEVEL_ROUNDS = 8
 
 
 class Dissipativity(enum.Enum):
@@ -77,34 +89,6 @@ class DissipativityVerdict:
     @property
     def non_dissipative(self) -> bool:
         return self.kind is Dissipativity.NON_DISSIPATIVE
-
-
-@dataclass(frozen=True)
-class DirectionalProfile:
-    """Smallest eigenvalue of cos(t) A + sin(t) B over a half-turn grid.
-
-    Angles are stored on [0, pi); `min_eigs_pos` holds the values for the
-    combination itself and `min_eigs_neg` for its negation (the angle t + pi),
-    so the two arrays together cover the full circle.
-    """
-
-    thetas: np.ndarray
-    min_eigs_pos: np.ndarray
-    min_eigs_neg: np.ndarray
-
-    def __post_init__(self):
-        for name in ("thetas", "min_eigs_pos", "min_eigs_neg"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def full_thetas(self) -> np.ndarray:
-        return np.concatenate([self.thetas, self.thetas + math.pi])
-
-    @property
-    def full_min_eigs(self) -> np.ndarray:
-        return np.concatenate([self.min_eigs_pos, self.min_eigs_neg])
 
 
 @dataclass(frozen=True)
@@ -134,22 +118,6 @@ class CertificateOutcome:
     @property
     def found(self) -> bool:
         return self.status is CertificateStatus.FOUND
-
-
-def min_eig_scan(a: SymmetricForm, b: SymmetricForm, grid_size: int = 256) -> DirectionalProfile:
-    """Sample the smallest eigenvalue of the pencil over all directions."""
-    if a.dim != b.dim:
-        raise ValueError("forms have mismatched dimensions")
-    if grid_size < 8:
-        raise ValueError(f"grid_size must be at least 8, got {grid_size}")
-    thetas = np.linspace(0.0, math.pi, grid_size, endpoint=False)
-    pos = np.empty(grid_size)
-    neg = np.empty(grid_size)
-    for i, t in enumerate(thetas):
-        w = np.linalg.eigvalsh(_element(a, b, float(t)))
-        pos[i] = w[0]
-        neg[i] = -w[-1]
-    return DirectionalProfile(thetas, pos, neg)
 
 
 def _dissipative(pair: UnitPair, phi: float, extreme: float) -> DissipativityVerdict:
@@ -238,13 +206,20 @@ def decide(
     `_check_inertia`; otherwise NumericalInconclusiveError is raised.
     """
     pair = unit_pair(a, b)
-    return _decide(pair, profile, pair.phi)
+    return _decide(pair, profile, pair.phi)[0]
 
 
-def _decide(pair: UnitPair, profile: PencilReport | None, to_phi) -> DissipativityVerdict:
-    """`decide` on the unit pair, reading the profile's angles through to_phi."""
+def _decide(
+    pair: UnitPair, profile: PencilReport | None, to_phi
+) -> tuple[DissipativityVerdict, tuple[float, float, float] | None]:
+    """`decide` on the unit pair, reading the profile's angles through to_phi.
+
+    Also returns the unit angles (lo, phi, hi): the best evaluated angle phi
+    and its neighbours among the evaluated angles on the circle, or None for
+    a one-line span.
+    """
     if profile is None:
-        return _dependent_span_verdict(pair)
+        return _dependent_span_verdict(pair), None
     drops = sorted(
         (to_phi(theta) % math.pi, rank) for theta, rank in profile.drop_points if theta < math.pi
     )
@@ -260,45 +235,110 @@ def _decide(pair: UnitPair, profile: PencilReport | None, to_phi) -> Dissipativi
         for value, phi in ((float(w[0]), t), (-float(w[-1]), t + math.pi)):
             if value > best_value:
                 best_value, best_phi = value, phi
+    # How far each other evaluated angle lies ahead of best_phi on the circle;
+    # the neighbour behind is the one farthest ahead.
+    ahead = np.mod(np.array(psis + arc_angles) + [[0.0], [math.pi]] - best_phi, 2.0 * math.pi)
+    ahead = ahead[ahead > 0.0]
+    arc = (best_phi + float(np.max(ahead)) - 2.0 * math.pi, best_phi, best_phi + float(np.min(ahead)))
     extreme = pair.value(pair.theta(best_phi), best_value)
     if best_value >= -EIG_REL:
-        return _dissipative(pair, best_phi, extreme)
+        return _dissipative(pair, best_phi, extreme), arc
     _check_inertia(pair, drops, drop_spectra, arc_spectra, profile.maxrank)
-    return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, extreme)
+    return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, extreme), arc
 
 
-def _scan_maximum(a: SymmetricForm, b: SymmetricForm) -> float:
-    """Maximum over the circle of the smallest eigenvalue: a grid scan refined
-    by golden-section maximization in every cell holding a local maximum."""
-    profile = min_eig_scan(a, b)
-    thetas = profile.full_thetas
-    values = profile.full_min_eigs
-    n = len(thetas)
-    step = 2.0 * math.pi / n
+def _min_eig(a: SymmetricForm, b: SymmetricForm, theta: float) -> float:
+    return float(np.linalg.eigvalsh(_element(a, b, theta))[0])
 
-    def neg_min_eig(theta: float) -> float:
-        return -float(np.linalg.eigvalsh(_element(a, b, theta))[0])
 
-    best = float(np.max(values))
-    for i in range(n):
-        if values[i] >= values[(i - 1) % n] and values[i] >= values[(i + 1) % n]:
-            _, value = golden_section_minimize(neg_min_eig, thetas[i] - step, thetas[i] + step, 60)
-            best = max(best, -value)
-    return best
+def _positive_definite(m: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _level_angles(a: SymmetricForm, b: SymmetricForm, c: float, theta: float) -> np.ndarray:
+    """The angles in [theta, theta + 2 pi) where c is an eigenvalue of M, sorted.
+
+    With t = tan((x - alpha) / 2), (1 + t^2)(M(x) - cI) is
+    (P - cI) + 2tQ - t^2 (P + cI), P = M(alpha) and Q = M(alpha + pi/2).  In
+    the eigenbasis of P = V diag(w) V^T it is singular at the eigenvalues t of
+    the companion matrix [[2 D V^T Q V, D (W - cI)], [I, 0]], D = (W + cI)^-1.
+    P + cI is singular exactly when c is an eigenvalue at alpha + pi, so alpha
+    is the first of three angles where it is not.  Empty when c is an
+    eigenvalue at all three, which is taken to mean at every angle (as for
+    the quartet, or a shared kernel with c = 0); then no smallest eigenvalue
+    exceeds c.
+    """
+    cut = EIG_REL * (frob(a.matrix) + frob(b.matrix))
+    for alpha in theta + 0.5 * math.pi + np.arange(3.0):
+        w, v = np.linalg.eigh(_element(a, b, alpha))
+        if np.min(np.abs(w + c)) > cut:
+            break
+    else:
+        return np.empty(0)
+    q = v.T @ _element(a, b, alpha + 0.5 * math.pi) @ v
+    companion = np.block(
+        [[2.0 * q / (w + c)[:, None], np.diag((w - c) / (w + c))], [np.eye(len(w)), np.zeros_like(q)]]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = alpha + 2.0 * np.arctan(np.linalg.eigvals(companion).astype(complex))
+    x = x.real[np.abs(x.imag) <= _LEVEL_IMAG]
+    return np.sort(theta + np.mod(x - theta, 2.0 * math.pi))
+
+
+def _max_min_eig(pair: UnitPair, arc: tuple[float, float, float]) -> tuple[float, float]:
+    """(max over the circle of lambda_min(M(theta)), an angle theta attaining
+    it) for the caller's pair, from `_decide`'s unit arc (lo, phi, hi).
+
+    It runs on the caller's pair divided by 2**e, (ra A^, rb B^), with phi
+    and its arc mapped to the caller's angles, and scales the value back.
+    Step 1 polishes the start by golden section on its arc.  Step 2 shows
+    that the polished value c is the maximum, by the level-set argument of
+    Boyd and Balakrishnan (1990): lambda_min > c can hold only on arcs
+    between consecutive angles where c is an eigenvalue (`_level_angles`).
+    If no arc midpoint clears c + _LEVEL_REL (|A|_F + |B|_F), which one
+    Cholesky factorization tests, c is the maximum; otherwise step 1 repeats
+    from the best midpoint on its arc.  The value is lambda_min at the
+    returned angle, so it never exceeds the maximum.
+    """
+    lo, phi, hi = arc
+    theta = pair.theta(phi)
+    lo = theta - (theta - pair.theta(lo)) % (2.0 * math.pi)
+    hi = theta + (pair.theta(hi) - theta) % (2.0 * math.pi)
+    a, b = SymmetricForm(pair.ra * pair.a.matrix), SymmetricForm(pair.rb * pair.b.matrix)
+    value = _min_eig(a, b, theta)
+    margin = _LEVEL_REL * (frob(a.matrix) + frob(b.matrix))
+    for _ in range(_LEVEL_ROUNDS):
+        x, y = golden_section_minimize(lambda t: -_min_eig(a, b, t), lo, hi, _POLISH_STEPS)
+        if -y > value:
+            value, theta = -y, x
+        lefts = _level_angles(a, b, value, theta)
+        rights = np.append(lefts[1:], lefts[:1] + 2.0 * math.pi)
+        level = (value + margin) * np.eye(a.dim)
+        raised = [
+            (_min_eig(a, b, mid), mid, left, right)
+            for mid, left, right in zip(0.5 * (lefts + rights), lefts, rights)
+            if _positive_definite(_element(a, b, mid) - level)
+        ]
+        if not raised or max(raised)[0] <= value:
+            break
+        value, theta, lo, hi = max(raised)
+    return math.ldexp(value, pair.e), theta
 
 
 def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdict:
     """Decide whether any nonzero pencil element is positive semidefinite.
 
-    `kind` and `theta` come from `decide` on the drops of `rank_profile`.
-    `extreme_min_eig` is a diagnostic that no decision reads: the maximum
-    over the circle of the smallest eigenvalue, refined from a 256-angle
-    scan (`_scan_maximum`) and taken together with the best value at the
-    decision's angles, so a DISSIPATIVE report never shows a value below
-    -EIG_REL (|A|_F + |B|_F).  Pairs spanning a single direction are decided
-    from the generator's definiteness.  The decision runs on the unit pair,
-    whose profile it reads unmapped; the scan runs on the caller's pair
-    divided by 2**e (`UnitPair`), and its value is scaled back.
+    `kind` and `theta` come from `decide` on the drops of `rank_profile`,
+    which runs on the unit pair and is read unmapped.  `extreme_min_eig` is
+    a diagnostic that no decision reads: the maximum over the circle of the
+    smallest eigenvalue (`_max_min_eig`), found from the decision's best angle
+    by a golden-section polish and checked by one level-set computation.
+    Pairs spanning a single direction are decided, and their
+    `extreme_min_eig` read, from the generator's definiteness.
     """
     pair = unit_pair(a, b)
     rank = span_rank(pair.a, pair.b)
@@ -306,10 +346,8 @@ def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdi
         raise ValueError("both forms vanish; the pair is undefined")
     if rank == 1:
         return _dependent_span_verdict(pair)
-    verdict = _decide(pair, rank_profile(pair.a, pair.b), lambda phi: phi)
-    scaled = (SymmetricForm(pair.ra * pair.a.matrix), SymmetricForm(pair.rb * pair.b.matrix))
-    scanned = math.ldexp(_scan_maximum(*scaled), pair.e)
-    return replace(verdict, extreme_min_eig=max(verdict.extreme_min_eig, scanned))
+    verdict, arc = _decide(pair, rank_profile(pair.a, pair.b), lambda phi: phi)
+    return replace(verdict, extreme_min_eig=_max_min_eig(pair, arc)[0])
 
 
 def _surrounding_points(a: SymmetricForm, b: SymmetricForm):
@@ -407,25 +445,3 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
     return CertificateOutcome(
         CertificateStatus.FOUND, certificate, iterations=calls, verdict=verdict
     )
-
-
-def trace_normalize(
-    a: SymmetricForm, b: SymmetricForm
-) -> tuple[SymmetricForm, SymmetricForm, np.ndarray]:
-    """Congruence by a certificate Q making both traces vanish.
-
-    Returns (Q.A.Q, Q.B.Q, Q); raises if the pair is dissipative or the
-    certificate search stalls.
-    """
-    outcome = trace_certificate(a, b)
-    if outcome.status is CertificateStatus.INFEASIBLE:
-        raise InfeasiblePairError(
-            "pair is dissipative; no trace-normalizing coordinates exist "
-            f"(semidefinite direction theta={outcome.dissipative_theta})"
-        )
-    if outcome.status is CertificateStatus.NUMERICAL_INCONCLUSIVE:
-        raise NumericalInconclusiveError(
-            f"no certificate after {outcome.iterations} eigh calls of the support search"
-        )
-    q = outcome.certificate.q
-    return SymmetricForm(q @ a.matrix @ q), SymmetricForm(q @ b.matrix @ q), q

@@ -5,16 +5,8 @@ class DependentPairError(ValueError):
     """The two forms span less than a two-dimensional pencil."""
 
 
-class ZeroElementError(ValueError):
-    """A pencil combination vanished where a nonzero element was required."""
-
-
 class DegeneratePairingError(ValueError):
     """A skew pairing matrix required to be non-degenerate is singular."""
-
-
-class InfeasiblePairError(RuntimeError):
-    """No trace certificate exists: the pair contains a semidefinite element."""
 
 
 class NumericalInconclusiveError(RuntimeError):

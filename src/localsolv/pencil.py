@@ -33,14 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import (
-    RANK_REL,
-    frob,
-    golden_section_minimize,
-    rank_tolerance,
-    rng_for,
-)
-from .errors import DependentPairError, ZeroElementError
+from ._numeric import golden_section_minimize, rank_tolerance, rng_for
+from .errors import DependentPairError
 from .forms import SymmetricForm, span_rank
 
 __all__ = [
@@ -48,7 +42,6 @@ __all__ = [
     "UnitPair",
     "unit_pair",
     "pencil_element",
-    "rank_at",
     "rank_profile",
 ]
 
@@ -142,12 +135,8 @@ def _element(a: SymmetricForm, b: SymmetricForm, theta: float) -> np.ndarray:
 
 
 def _spectrum(a: SymmetricForm, b: SymmetricForm, phi: float) -> np.ndarray:
-    """Singular values of the unit pair's element at phi; raises if it
-    vanishes, which it can only where A^ and B^ span one line."""
-    m = _element(a, b, phi)
-    if frob(m) <= RANK_REL * a.dim:
-        raise ZeroElementError(f"pencil element at phi={phi} of the unit pair vanishes")
-    return np.linalg.svd(m, compute_uv=False)
+    """Singular values of the unit pair's element at phi."""
+    return np.linalg.svd(_element(a, b, phi), compute_uv=False)
 
 
 def _rank(s: np.ndarray) -> int:
@@ -158,12 +147,6 @@ def _marginal(s: np.ndarray, rank: int) -> bool:
     """The smallest kept singular value lies within 10x of the rank cut."""
     cut = rank_tolerance(s, (len(s), len(s)))
     return rank > 0 and cut < s[rank - 1] <= 10.0 * cut
-
-
-def rank_at(a: SymmetricForm, b: SymmetricForm, theta: float) -> int:
-    """Numerical rank of cos(theta) A + sin(theta) B."""
-    pair = unit_pair(a, b)
-    return _rank(_spectrum(pair.a, pair.b, pair.phi(theta)))
 
 
 def _probe(

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, numerical_rank, rng_for, unit_vector
-from .dissipativity import decide
+from .dissipativity import _decide, _max_min_eig, decide
 from .errors import NumericalInconclusiveError
 from .forms import (
     SymmetricForm,
@@ -46,7 +46,7 @@ from .forms import (
     poisson_bracket,
     span_rank,
 )
-from .pencil import pencil_element, rank_profile, unit_pair
+from .pencil import rank_profile, unit_pair
 
 __all__ = [
     "WitnessResult",
@@ -465,13 +465,14 @@ def zero_set_gap(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> float:
     An and Bn are the unit-Frobenius forms the searches test residuals on,
     so a gap above sqrt(2) * ZERO_TOL means no point can pass that test.
     For n = 2 the bound is the exact minimum (`_plane_gap`).  Otherwise it
-    is the smallest eigenvalue of cos(phi) An + sin(phi) Bn at the angle phi
-    that `dissipativity.decide` returns when it finds (An, Bn) dissipative,
-    or 0 when that element is not positive definite, the pair is
-    non-dissipative or the decision raises.  For n >= 3 a definite element
-    exists exactly when the joint zero set is {0} (Calabi 1964); the
-    decision's angle is the best of angles that include the middle of every
-    arc between singular angles, so it finds one.
+    is 0 when `dissipativity.decide` finds (An, Bn) non-dissipative or
+    raises, and else max(0, delta), where delta is the maximum over phi of
+    the smallest eigenvalue of cos(phi) An + sin(phi) Bn, found from the
+    decision's best angle (`dissipativity._max_min_eig`; for a one-line span,
+    read at the decision's angle).  For n >= 3 the range of (Q_An, Q_Bn) on
+    the unit sphere is convex (Brickman 1961), so max(0, delta) is its exact
+    distance from 0, which is positive exactly when the joint zero set is
+    {0} (Calabi 1964).
     """
     an, bn, *_ = unit_pair(a, b)
     if a.dim == 2:
@@ -479,14 +480,17 @@ def zero_set_gap(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> float:
     rank = span_rank(an, bn)
     if rank == 0:
         return 0.0
+    # The unit pair as its own caller: every angle and value map is the identity.
+    pair = unit_pair(an, bn)
     try:
-        verdict = decide(an, bn, rank_profile(an, bn, seed=seed) if rank == 2 else None)
+        verdict, arc = _decide(
+            pair, rank_profile(an, bn, seed=seed) if rank == 2 else None, pair.phi
+        )
     except NumericalInconclusiveError:
         return 0.0
     if verdict.non_dissipative:
         return 0.0
-    lowest = float(np.linalg.eigvalsh(pencil_element(an, bn, verdict.theta).matrix)[0])
-    return max(lowest, 0.0)
+    return max(verdict.witness_min_eig if arc is None else _max_min_eig(pair, arc)[0], 0.0)
 
 
 def _second_singular(u: np.ndarray, v: np.ndarray) -> float:

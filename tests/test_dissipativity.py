@@ -14,14 +14,12 @@ from localsolv import (
     CertificateStatus,
     SymmetricForm,
     is_non_dissipative,
-    min_eig_scan,
     trace_certificate,
-    trace_normalize,
 )
 from localsolv import dissipativity, pencil, rank_profile, witness
 from localsolv._numeric import CERT_REL, EIG_REL
 from localsolv.dissipativity import Dissipativity, decide
-from localsolv.errors import InfeasiblePairError, NumericalInconclusiveError
+from localsolv.errors import NumericalInconclusiveError
 from localsolv.fixtures import all_fixtures
 from localsolv.forms import SymplecticStructure
 from conftest import (
@@ -106,26 +104,6 @@ def test_dependent_span_negative_semidefinite_generator():
     assert np.linalg.eigvalsh(m)[0] >= -1e-12
 
 
-def test_min_eig_scan_definite_form():
-    profile = min_eig_scan(SymmetricForm(np.eye(3)), SymmetricForm.zero(3), grid_size=64)
-    thetas = profile.full_thetas
-    values = profile.full_min_eigs
-    assert values[np.argmin(np.abs(thetas))] == pytest.approx(1.0)
-    assert values[np.argmin(np.abs(thetas - np.pi))] == pytest.approx(-1.0)
-
-
-def test_min_eig_scan_closed_form(rng):
-    a = SymmetricForm(np.diag([1.0, -1.0]))
-    profile = min_eig_scan(a, SymmetricForm.zero(2), grid_size=32)
-    for theta, value in zip(profile.full_thetas, profile.full_min_eigs):
-        assert value == pytest.approx(-abs(np.cos(theta)), abs=1e-12)
-
-
-def test_min_eig_scan_grid_floor():
-    with pytest.raises(ValueError):
-        min_eig_scan(SymmetricForm(np.eye(2)), SymmetricForm.zero(2), grid_size=4)
-
-
 def test_random_verdicts_match_scan_oracle(rng):
     for k in range(12):
         n = int(rng.integers(2, 7))
@@ -207,27 +185,27 @@ def test_certificates_under_random_congruence(rng):
         assert is_non_dissipative(a, b).non_dissipative
 
 
+def trace_normalized(a, b):
+    """(Q A Q, Q B Q, Q) for the certificate Q: coordinates where both traces vanish."""
+    q = trace_certificate(a, b).certificate.q
+    return q @ a.matrix @ q, q @ b.matrix @ q, q
+
+
 def test_trace_normalize_traceless_fixed_point():
     a = SymmetricForm(np.diag([1.0, -1.0]))
     b = SymmetricForm([[0.0, 1.0], [1.0, 0.0]])
-    a2, b2, q = trace_normalize(a, b)
+    a2, b2, q = trace_normalized(a, b)
     assert np.allclose(q, q[0, 0] * np.eye(2))
-    assert np.allclose(a2.matrix, q[0, 0] ** 2 * a.matrix)
+    assert np.allclose(a2, q[0, 0] ** 2 * a.matrix)
 
 
 def test_trace_normalize_kills_traces(rng):
     a0, b0 = traceless_pair(6, rng)
     a, b, _ = congruent_pair(a0, b0, rng)
-    a2, b2, q = trace_normalize(a, b)
+    a2, b2, q = trace_normalized(a, b)
     tol = scale_bound(CERT_REL, a, b)
-    assert abs(np.trace(a2.matrix)) <= tol
-    assert abs(np.trace(b2.matrix)) <= tol
-    assert np.allclose(a2.matrix, q @ a.matrix @ q)
-
-
-def test_trace_normalize_rejects_dissipative():
-    with pytest.raises(InfeasiblePairError):
-        trace_normalize(SymmetricForm(np.diag([1.0, 0.0])), SymmetricForm(np.diag([0.0, 1.0])))
+    assert abs(np.trace(a2)) <= tol
+    assert abs(np.trace(b2)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +387,11 @@ def test_hypothesis_report_runs_the_pencil_once_and_no_scan(monkeypatch):
         return original(*args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the verdict path must not scan")
+        raise AssertionError("the verdict path must not refine extreme_min_eig")
 
     monkeypatch.setattr(witness, "rank_profile", counted)
     monkeypatch.setattr(dissipativity, "rank_profile", counted)
-    monkeypatch.setattr(dissipativity, "min_eig_scan", forbidden)
+    monkeypatch.setattr(dissipativity, "_max_min_eig", forbidden)
     monkeypatch.setattr(dissipativity, "is_non_dissipative", forbidden)
     monkeypatch.setattr(witness, "is_non_dissipative", forbidden, raising=False)
     rng = np.random.default_rng(0x4E9)
@@ -423,6 +401,78 @@ def test_hypothesis_report_runs_the_pencil_once_and_no_scan(monkeypatch):
         report = witness.hypothesis_report(a, b, structure)
         assert len(calls) == 1
         assert report.nondissipative == decision(a, b).non_dissipative
+
+
+# ---------------------------------------------------------------------------
+# extreme_min_eig: the maximum over the circle of the smallest eigenvalue
+
+
+@pytest.fixture
+def extremes(monkeypatch):
+    """Every (value, theta) that the refinement of extreme_min_eig returns."""
+    calls = []
+    original = dissipativity._max_min_eig
+
+    def recorded(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(dissipativity, "_max_min_eig", recorded)
+    return calls
+
+
+def assert_extreme(a, b, extremes, grid):
+    """extreme_min_eig is lambda_min at the angle the refinement returned, so
+    never above the maximum, and never below the scan oracle by more than
+    1e-12 (|A|_F + |B|_F).  Returns the verdict."""
+    extremes.clear()
+    verdict = is_non_dissipative(a, b)
+    ((value, theta),) = extremes
+    scale = a.frobenius() + b.frobenius()
+    assert verdict.extreme_min_eig == value
+    m = np.cos(theta) * a.matrix + np.sin(theta) * b.matrix
+    assert np.linalg.eigvalsh(m)[0] == pytest.approx(value, rel=1e-13, abs=1e-14 * scale)
+    assert value >= scan_oracle(a, b, grid=grid) - 1e-12 * scale
+    return verdict
+
+
+def test_extreme_min_eig_on_random_pairs(extremes):
+    # shifted random pairs as in the decision test, 300 of each kind
+    outcomes = {True: 0, False: 0}
+    for index in range(700):
+        rng = np.random.default_rng([index, 0xE17])
+        n = int(rng.integers(2, 13))
+        shift = rng.uniform(0.0, 2.0) * np.sqrt(n)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        a = SymmetricForm(random_symmetric(n, rng) + shift * np.cos(phi) * np.eye(n))
+        b = SymmetricForm(random_symmetric(n, rng) + shift * np.sin(phi) * np.eye(n))
+        outcomes[assert_extreme(a, b, extremes, grid=1_000).non_dissipative] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def extreme_cases():
+    """Arc pairs on both sides of the cut, the fixtures (among them kinks of
+    lambda_min and the quartet, where it is constant) and pairs whose forms
+    share a kernel, so that 0 is an eigenvalue at every angle."""
+    for n in (4, 10, 20, 40):
+        for past in (-0.05, -0.001, 0.001, 0.05):
+            rng = np.random.default_rng([n, int(1e4 * (past + 1.0)), 0xE19])
+            yield pytest.param(*arc_pair(n, past, rng), id=f"arc-{n}-{past}")
+    for fixture in all_fixtures():
+        yield pytest.param(fixture.a, fixture.b, id=fixture.key)
+    for index in range(20):
+        rng = np.random.default_rng([index, 0xE18])
+        n = int(rng.integers(4, 10))
+        spread = np.pi + rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.5)
+        radii = rng.uniform(0.5, 2.0, n)
+        radii[: 1 + index % 2] = 0.0
+        pair = planted_pair(spread_angles(n, spread, rng), radii, haar_congruence(n, rng))
+        yield pytest.param(*pair, id=f"kernel-{index}")
+
+
+@pytest.mark.parametrize("a, b", extreme_cases())
+def test_extreme_min_eig_on_arcs_fixtures_and_kernels(a, b, extremes):
+    assert_extreme(a, b, extremes, grid=5_000 if a.dim <= 10 else 2_000)
 
 
 # ---------------------------------------------------------------------------

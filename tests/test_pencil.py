@@ -11,12 +11,12 @@ from localsolv import (
     VerdictOutcome,
     heisenberg_verdict,
     is_non_dissipative,
-    rank_at,
+    pencil_element,
     rank_profile,
 )
 from localsolv import pencil
 from localsolv._numeric import golden_section_minimize, rank_tolerance
-from localsolv.errors import DependentPairError, ZeroElementError
+from localsolv.errors import DependentPairError
 from localsolv.fixtures import all_fixtures
 from conftest import (
     congruent_pair,
@@ -114,11 +114,12 @@ def quartet_pair():
 
 
 def test_rank_at_identity():
-    assert rank_at(SymmetricForm(np.eye(4)), SymmetricForm.zero(4), 0.0) == 4
+    assert pencil_element(SymmetricForm(np.eye(4)), SymmetricForm.zero(4), 0.0).rank() == 4
 
 
 def test_rank_at_diagonal():
-    assert rank_at(SymmetricForm(np.diag([1.0, 1.0, 0.0])), SymmetricForm.zero(3), 0.0) == 2
+    a = SymmetricForm(np.diag([1.0, 1.0, 0.0]))
+    assert pencil_element(a, SymmetricForm.zero(3), 0.0).rank() == 2
 
 
 def test_rank_at_plane_pair_everywhere_two(rng):
@@ -126,15 +127,7 @@ def test_rank_at_plane_pair_everywhere_two(rng):
     a = SymmetricForm(np.diag([1.0, -1.0]))
     b = rank2_hyperbolic(2)
     for theta in rng.uniform(0.0, 2 * np.pi, size=16):
-        assert rank_at(a, b, float(theta)) == 2
-
-
-def test_rank_at_zero_element():
-    a = SymmetricForm(np.eye(3))
-    b = SymmetricForm(-np.eye(3))
-    # cos(pi/4) A + sin(pi/4) B = 0
-    with pytest.raises(ZeroElementError):
-        rank_at(a, b, np.pi / 4)
+        assert pencil_element(a, b, float(theta)).rank() == 2
 
 
 def test_rank_profile_quartet_full_rank_everywhere():

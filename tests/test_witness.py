@@ -30,7 +30,7 @@ from localsolv import (
     transversality_witness,
     zero_set_gap,
 )
-from localsolv._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, rng_for
+from localsolv._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, golden_section_minimize, rng_for
 from localsolv.witness import (
     _gauss_newton_step,
     _hill_climb,
@@ -394,6 +394,38 @@ def test_definite_pairs_are_empty_in_both_modes(n):
         assert search.budget == 30
 
 
+def support_point_gap(a, b, grid=256):
+    """Least |(Q_An(z), Q_Bn(z))| over bottom eigenvectors z of
+    cos(t) An + sin(t) Bn, from a grid of angles t with each local minimum
+    refined by golden section: a multi-start minimum over unit vectors z, so
+    never below the gap.  For n >= 3 the range of (Q_An, Q_Bn) is convex, and
+    the point nearest 0 is the support point whose normal points at it."""
+    an, bn = a.normalized().matrix, b.normalized().matrix
+
+    def norm(t):
+        z = np.linalg.eigh(np.cos(t) * an + np.sin(t) * bn)[1][:, 0]
+        return float(np.hypot(z @ an @ z, z @ bn @ z))
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    values = [norm(t) for t in thetas]
+    step = thetas[1]
+    best = min(values)
+    for i, t in enumerate(thetas):
+        if values[i] <= min(values[i - 1], values[(i + 1) % grid]):
+            best = min(best, golden_section_minimize(norm, t - step, t + step, 60)[1])
+    return best
+
+
+def test_gap_is_the_distance_of_the_range_from_zero():
+    # the gap is exact for n >= 3 too: it matches the multi-start minimum to
+    # 1e-9 and never exceeds it beyond rounding on the unit forms
+    for k in range(40):
+        rng = np.random.default_rng([k, 0x9A7])
+        a, b = definite_pair(3 + k % 10, rng)
+        gap, nearest = zero_set_gap(a, b), support_point_gap(a, b)
+        assert nearest * (1.0 - 1e-9) <= gap <= nearest + 1e-14
+
+
 def test_non_dissipative_pairs_are_never_empty():
     # By Calabi, for n >= 3 a non-dissipative pair has joint zeros.
     rng = np.random.default_rng(0xCA1)
@@ -444,11 +476,7 @@ def test_gap_is_invariant_under_separate_scaling(scale):
         for sa, sb in ((scale, scale), (scale, 1.0), (1.0, scale), (scale, 1.0 / scale)):
             a2, b2 = SymmetricForm(sa * a.matrix), SymmetricForm(sb * b.matrix)
             gap2 = zero_set_gap(a2, b2)
-            if a.dim == 2:
-                assert gap2 == pytest.approx(gap, rel=1e-9, abs=1e-12)
-            else:
-                # a lower bound read at one angle of the pencil, which moves
-                assert (gap2 > 1e-6) == (gap > 1e-6)
+            assert gap2 == pytest.approx(gap, rel=1e-9, abs=1e-12)
             if gap > 1e-6:
                 # no witness exists, so the proof decides the status alone
                 for search in both_searches(a2, b2, restarts=3):
