@@ -16,10 +16,11 @@ verdict = is_non_dissipative(a, b)
 print("hyperbolic pair:", verdict.kind.value)
 print("largest smallest-eigenvalue over all directions:", verdict.extreme_min_eig)
 
-# The decision itself evaluates the pencil only at its rank-drop angles and
-# at the midpoints of the arcs between them (this pair has no drops, so one
-# angle suffices).  The reported extreme above is a diagnostic: the maximum
-# over all directions of the smallest eigenvalue, polished from the
+# The decision itself evaluates the pencil at a few angles (here 0 and pi/2):
+# their extreme eigenvectors give points of the joint numerical range that
+# surround the origin, and the certificate below proves that no combination
+# is positive semidefinite.  The reported extreme above is a diagnostic: the
+# maximum over all directions of the smallest eigenvalue, polished from the
 # decision's best angle by golden section and shown to be the maximum by
 # one level-set computation.  Here it is -1 at every angle, as a few show:
 for theta in np.linspace(0.0, np.pi, 6, endpoint=False):

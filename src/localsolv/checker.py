@@ -341,9 +341,11 @@ def point_symbol_verdict(spec: PointSymbolSpec, seed: int = 42) -> Verdict:
             )
 
     radical = joint_radical(spec.a_re, spec.a_im)
+    # R scales as 1 / |T|: unit columns keep the lift of the radical above the
+    # rank cut of the orthonormal ker T, whatever the scale of T
+    up = r @ radical.basis
     lifted = Subspace.from_spanning(
-        n2,
-        np.column_stack([r @ radical.basis, nullspace(t)]),
+        n2, np.column_stack([up / np.linalg.norm(up, axis=0), nullspace(t)])
     )
     small_sympl = is_symplectic_subspace(radical, reduced).symplectic
     big_sympl = is_symplectic_subspace(lifted, ambient).symplectic

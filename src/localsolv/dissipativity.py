@@ -2,24 +2,24 @@
 
 A pair (A, B) is non-dissipative when the zero matrix is the only positive
 semidefinite element of its real span.  Equivalently there is a positive
-definite Q with tr(Q A Q) = tr(Q B Q) = 0; equivalently no angle theta makes
-cos(theta) A + sin(theta) B nonzero and positive semidefinite.
+definite P with tr(P A) = tr(P B) = 0 (then Q = P^(1/2) has tr(Q A Q) =
+tr(Q B Q) = 0); equivalently no angle theta makes cos(theta) A +
+sin(theta) B nonzero and positive semidefinite.
 
-`decide` answers the question exactly from the singular angles that
-`pencil.rank_profile` computes: between consecutive singular angles the
-inertia of the element is constant, so it suffices to look at each singular
-angle and at one point of each arc between them (Guo-Higham-Tisseur 2009
-argue the same way for definite pairs).  `is_non_dissipative` also reports
-the diagnostic `extreme_min_eig`, the maximum over the circle of the
-smallest eigenvalue, which no decision reads: a golden-section polish from
-the decision's best angle, and one level-set check (Boyd-Balakrishnan
-1990, as Higham-Tisseur-Van Dooren 2002 use it for the Crawford number)
-that no arc rises above it.  The certificate is built in
-closed form from support points of the joint numerical range
-{(z.A.z, z.B.z) : |z| = 1}, which the extreme eigenvectors of the pencil
-elements give (Brickman 1961): once such points surround the origin, a
-convex combination of their rank-one projectors plus a multiple of the
-identity annihilates both traces.
+One support search on the unit pair (`_support_decision`) decides both ways.
+The bottom and top eigenvectors of each element it evaluates give points of
+the joint numerical range {(z.A.z, z.B.z) : |z| = 1} on its supporting lines
+(Brickman 1961).  An evaluated element with lambda_min >= -EIG_REL is the
+PSD witness (Guo-Higham-Tisseur 2009 search definite pairs the same way).
+Once the points surround the origin, a convex combination of their rank-one
+projectors plus a multiple of the identity is a P annihilating both traces,
+and a gate on lambda_min(P) proves that no element has lambda_min >= -EIG_REL.
+If neither comes, the maximum over the circle of the smallest eigenvalue
+(`_max_min_eig`: a golden-section polish, and a level-set check after
+Boyd-Balakrishnan 1990, as Higham-Tisseur-Van Dooren 2002 use it for the
+Crawford number) decides.  `is_non_dissipative` also reports that maximum
+as the diagnostic `extreme_min_eig`, and `trace_certificate` takes
+Q = P^(1/2) of the search's P.
 
 Every entry decides on the unit pair (`pencil.unit_pair`) with the constant
 slacks EIG_REL and CERT_REL, and reports angles and values at the caller's
@@ -35,10 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numeric import CERT_REL, EIG_REL, RANK_REL, frob, golden_section_minimize
-from .errors import NumericalInconclusiveError
+from ._numeric import CERT_REL, EIG_REL, frob, golden_section_minimize
 from .forms import SymmetricForm, span_rank
-from .pencil import PencilReport, UnitPair, _element, rank_profile, unit_pair
+from .pencil import UnitPair, _element, unit_pair
 
 __all__ = [
     "Dissipativity",
@@ -46,12 +45,11 @@ __all__ = [
     "TraceCertificate",
     "CertificateStatus",
     "CertificateOutcome",
-    "decide",
     "is_non_dissipative",
     "trace_certificate",
 ]
 
-# `eigh` calls the certificate's support search may spend.
+# `eigh` calls the support search may spend.
 _SUPPORT_CALLS = 32
 # Golden-section steps of the polish in `_max_min_eig`: the bracket shrinks
 # by 0.618**48, about 1e-10.  A kink left short of its peak by more than
@@ -112,7 +110,7 @@ class CertificateOutcome:
     certificate: TraceCertificate | None = None
     dissipative_theta: float | None = None
     iterations: int = 0
-    # The dissipativity decision taken before the search.
+    # The dissipativity decision, whose support search built the certificate.
     verdict: DissipativityVerdict | None = None
 
     @property
@@ -141,110 +139,6 @@ def _dependent_span_verdict(pair: UnitPair) -> DissipativityVerdict:
     alpha, beta = (float(np.tensordot(f.matrix, gen.matrix)) for f in (pair.a, pair.b))
     phi = math.atan2(beta, alpha) + (math.pi if lo < -EIG_REL else 0.0)
     return _dissipative(pair, phi, max(lo, -hi))
-
-
-def _inertia(w: np.ndarray, sign: int) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of sign * M, cut as ranks are."""
-    cut = RANK_REL * max(abs(w[0]), abs(w[-1])) * len(w)
-    counts = (int(np.count_nonzero(w > cut)), int(np.count_nonzero(w < -cut)))
-    return counts if sign > 0 else counts[::-1]
-
-
-def _check_inertia(
-    pair: UnitPair,
-    drops: list[tuple[float, int]],
-    drop_spectra: list[np.ndarray],
-    arc_spectra: list[np.ndarray],
-    maxrank: int,
-) -> None:
-    """Raise unless the inertias fit the drops; a misfit means a missed (or
-    misplaced) drop, and then no arc can be trusted to be PSD-free.
-
-    On the full circle the singular angles are the drops psi_i and psi_i + pi;
-    arc j runs from singular angle j to singular angle j + 1, and the second
-    half-turn repeats the first with M negated.  Only the branches vanishing
-    at a drop of rank rho can change sign there, so the drop keeps no more
-    negative (or positive) eigenvalues than either neighbouring arc, and the
-    two arcs differ by at most maxrank - rho in each count.  With no drops
-    the circle is one arc, on which M and -M have the same inertia.
-    """
-    k = len(drops)
-    if k == 0:
-        pos, neg = _inertia(arc_spectra[0], 1)
-        if pos != neg:
-            raise NumericalInconclusiveError(
-                f"no rank drops, but the inertia ({pos}, {neg}) of M differs from that of -M"
-            )
-        return
-    arcs = [_inertia(arc_spectra[j % k], 1 if j < k else -1) for j in range(2 * k)]
-    for j in range(2 * k):
-        phi, rank = drops[j % k]
-        at = _inertia(drop_spectra[j % k], 1 if j < k else -1)
-        left, right = arcs[j - 1], arcs[j]
-        for c in (0, 1):
-            if at[c] > min(left[c], right[c]) or abs(left[c] - right[c]) > maxrank - rank:
-                raise NumericalInconclusiveError(
-                    f"inertia {at} at the rank-{rank} drop "
-                    f"theta={pair.theta(phi + math.pi * (j >= k)) % (2.0 * math.pi):.6f} "
-                    f"does not fit its arcs {left} and {right}: a rank drop is missing or misplaced"
-                )
-
-
-def decide(
-    a: SymmetricForm, b: SymmetricForm, profile: PencilReport | None
-) -> DissipativityVerdict:
-    """Exact dissipativity decision from the singular angles of the pencil.
-
-    `profile` is `rank_profile(a, b)`, or None when A and B span one
-    dimension (decided from the definiteness of the generator); its angles
-    are mapped to the unit pair, which is the identity on a unit pair.  M^ is
-    evaluated at each drop angle and arc midpoint in [0, pi); one `eigvalsh`
-    covers the angle and its half-turn image, M^(t + pi) = -M^(t).  The pair
-    is DISSIPATIVE when the best smallest eigenvalue clears -EIG_REL, at the
-    angle `theta` that attains it; `extreme_min_eig` is that eigenvalue.
-    NON_DISSIPATIVE is returned only after the inertias pass
-    `_check_inertia`; otherwise NumericalInconclusiveError is raised.
-    """
-    pair = unit_pair(a, b)
-    return _decide(pair, profile, pair.phi)[0]
-
-
-def _decide(
-    pair: UnitPair, profile: PencilReport | None, to_phi
-) -> tuple[DissipativityVerdict, tuple[float, float, float] | None]:
-    """`decide` on the unit pair, reading the profile's angles through to_phi.
-
-    Also returns the unit angles (lo, phi, hi): the best evaluated angle phi
-    and its neighbours among the evaluated angles on the circle, or None for
-    a one-line span.
-    """
-    if profile is None:
-        return _dependent_span_verdict(pair), None
-    drops = sorted(
-        (to_phi(theta) % math.pi, rank) for theta, rank in profile.drop_points if theta < math.pi
-    )
-    psis = [phi for phi, _ in drops]
-    if psis:
-        arc_angles = [0.5 * (x + y) for x, y in zip(psis, psis[1:] + [psis[0] + math.pi])]
-    else:
-        arc_angles = [to_phi(profile.generic_theta) % math.pi]
-    drop_spectra = [np.linalg.eigvalsh(pair.element(t)) for t in psis]
-    arc_spectra = [np.linalg.eigvalsh(pair.element(t)) for t in arc_angles]
-    best_value, best_phi = -math.inf, 0.0
-    for t, w in zip(psis + arc_angles, drop_spectra + arc_spectra):
-        for value, phi in ((float(w[0]), t), (-float(w[-1]), t + math.pi)):
-            if value > best_value:
-                best_value, best_phi = value, phi
-    # How far each other evaluated angle lies ahead of best_phi on the circle;
-    # the neighbour behind is the one farthest ahead.
-    ahead = np.mod(np.array(psis + arc_angles) + [[0.0], [math.pi]] - best_phi, 2.0 * math.pi)
-    ahead = ahead[ahead > 0.0]
-    arc = (best_phi + float(np.max(ahead)) - 2.0 * math.pi, best_phi, best_phi + float(np.min(ahead)))
-    extreme = pair.value(pair.theta(best_phi), best_value)
-    if best_value >= -EIG_REL:
-        return _dissipative(pair, best_phi, extreme), arc
-    _check_inertia(pair, drops, drop_spectra, arc_spectra, profile.maxrank)
-    return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, extreme), arc
 
 
 def _min_eig(a: SymmetricForm, b: SymmetricForm, theta: float) -> float:
@@ -291,7 +185,8 @@ def _level_angles(a: SymmetricForm, b: SymmetricForm, c: float, theta: float) ->
 
 def _max_min_eig(pair: UnitPair, arc: tuple[float, float, float]) -> tuple[float, float]:
     """(max over the circle of lambda_min(M(theta)), an angle theta attaining
-    it) for the caller's pair, from `_decide`'s unit arc (lo, phi, hi).
+    it) for the caller's pair, from a unit arc (lo, phi, hi) of
+    `_support_decision`.
 
     It runs on the caller's pair divided by 2**e, (ra A^, rb B^), with phi
     and its arc mapped to the caller's angles, and scales the value back.
@@ -329,119 +224,199 @@ def _max_min_eig(pair: UnitPair, arc: tuple[float, float, float]) -> tuple[float
     return math.ldexp(value, pair.e), theta
 
 
-def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdict:
-    """Decide whether any nonzero pencil element is positive semidefinite.
-
-    `kind` and `theta` come from `decide` on the drops of `rank_profile`,
-    which runs on the unit pair and is read unmapped.  `extreme_min_eig` is
-    a diagnostic that no decision reads: the maximum over the circle of the
-    smallest eigenvalue (`_max_min_eig`), found from the decision's best angle
-    by a golden-section polish and checked by one level-set computation.
-    Pairs spanning a single direction are decided, and their
-    `extreme_min_eig` read, from the generator's definiteness.
-    """
-    pair = unit_pair(a, b)
-    rank = span_rank(pair.a, pair.b)
-    if rank == 0:
-        raise ValueError("both forms vanish; the pair is undefined")
-    if rank == 1:
-        return _dependent_span_verdict(pair)
-    verdict, arc = _decide(pair, rank_profile(pair.a, pair.b), lambda phi: phi)
-    return replace(verdict, extreme_min_eig=_max_min_eig(pair, arc)[0])
-
-
-def _surrounding_points(a: SymmetricForm, b: SymmetricForm):
-    """Unit vectors z_j whose points w_j = (z_j.A.z_j, z_j.B.z_j) surround 0.
-
-    The bottom and top eigenvectors of M(theta) give the points of the joint
-    numerical range on its supporting lines with outer normals theta + pi
-    and theta.  After theta = k pi / 4 (k = 0..3), M is taken in the middle
-    of the widest empty polar angle while that is pi or more (angles, not
-    polygon edges: a polygonal range repeats its vertices).  Returns the
-    vectors, points and polar angles sorted by angle, and the `eigh` count,
-    or None after `_SUPPORT_CALLS` calls.
-    """
-    zs = np.empty((a.dim, 0))
-    pending = [k * math.pi / 4.0 for k in range(4)]
-    for calls in range(1, _SUPPORT_CALLS + 1):
-        _, v = np.linalg.eigh(_element(a, b, pending.pop()))
-        zs = np.column_stack([zs, v[:, 0], v[:, -1]])
-        if pending:
-            continue
-        points = np.stack([np.sum(zs * (f.matrix @ zs), axis=0) for f in (a, b)])
-        angles = np.arctan2(points[1], points[0])
-        order = np.argsort(angles)
-        angles = angles[order]
-        gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
-        k = int(np.argmax(gaps))
-        if gaps[k] < math.pi:
-            return zs[:, order], points[:, order], angles, calls
-        pending.append(float(angles[k] + 0.5 * gaps[k]))
-    return None
-
-
 def _cross(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _exit_point(a: SymmetricForm, b: SymmetricForm, d: np.ndarray):
-    """(calls, r, E): the ray along the unit vector d leaves the support polygon
-    at r d, the point of the convex combination E of projectors z z^T (0 if none)."""
-    if span_rank(a, b) == 1:
-        # The range is a segment along d; the top point of M at d's angle ends it.
-        w, v = np.linalg.eigh(_element(a, b, math.atan2(d[1], d[0])))
-        return 1, float(w[-1]), np.outer(v[:, -1], v[:, -1])
-    found = _surrounding_points(a, b)
-    if found is None:
-        return _SUPPORT_CALLS, 0.0, np.zeros((a.dim, a.dim))
-    zs, points, angles, calls = found
+def _descent(pair: UnitPair) -> tuple[np.ndarray, float]:
+    """(d, |tau|) for tau = (tr A^, tr B^) / n: d = -tau / |tau| (any unit
+    vector when tau = 0) is the direction in which P is pushed out of I / n."""
+    tau = np.array([np.trace(pair.a.matrix), np.trace(pair.b.matrix)]) / pair.a.dim
+    size = math.hypot(*tau)
+    return (-tau / size if size > 0.0 else np.array([1.0, 0.0])), size
+
+
+def _annihilator(edge: np.ndarray, r: float, size: float) -> np.ndarray:
+    """P = (1 - eps) E + (eps / n) I with eps = r / (r + |tau|), for the ray
+    from 0 along -tau leaving the range at r d, the point of the convex
+    combination E of projectors z z^T: tr P = 1 and tr(P A^) = tr(P B^) = 0,
+    and lambda_min(P) >= eps / n.  I / n for a traceless pair."""
+    n = len(edge)
+    eps = r / (r + size) if size > 0.0 else 1.0
+    return (1.0 - eps) * edge + (eps / n) * np.eye(n)
+
+
+def _polygon_candidate(pair: UnitPair, zs: np.ndarray, points: np.ndarray, angles: np.ndarray):
+    """`_annihilator` for support points w_j = (z_j.A^.z_j, z_j.B^.z_j),
+    sorted by polar angle, that surround 0: the ray leaves their polygon on
+    the edge between the two points whose angles straddle d."""
+    d, size = _descent(pair)
     i = int(np.searchsorted(angles, math.atan2(d[1], d[0]), side="right")) - 1
     k = (i + 1) % len(angles)
     u, v = points[:, i], points[:, k]
     # r d = (cross(d, v) u + cross(u, d) v) / span is on the edge from u to v
     span = _cross(d, v - u)
     if not span > 0.0:
-        return calls, 0.0, np.zeros((a.dim, a.dim))
+        return _annihilator(np.zeros((pair.a.dim,) * 2), 0.0, size)
     edge = _cross(d, v) * np.outer(zs[:, i], zs[:, i]) + _cross(u, d) * np.outer(zs[:, k], zs[:, k])
-    return calls, _cross(u, v) / span, edge / span
+    return _annihilator(edge / span, _cross(u, v) / span, size)
+
+
+def _excludes_psd(pair: UnitPair, p: np.ndarray) -> bool:
+    """The gate on a candidate P (tr P = 1): no M^(phi) has lambda_min >=
+    -EIG_REL when, with delta = max |tr(P F)| over F = A^, B^ (at most
+    CERT_REL) and mu = sqrt(1 - |<A^, B^>|) = min over phi of |M^(phi)|_F,
+    lambda_min(P) (mu - sqrt(n) EIG_REL) > sqrt(2) delta + EIG_REL.  Such an
+    M^ = M+ - M- (M- of eigenvalues at most EIG_REL) would have tr(P M^) >=
+    lambda_min(P) |M+|_F - EIG_REL with |M+|_F >= mu - sqrt(n) EIG_REL,
+    while |tr(P M^)| <= sqrt(2) delta.
+    """
+    a, b = pair.a, pair.b
+    delta = max(abs(float(np.tensordot(p, f.matrix))) for f in (a, b))
+    mu = math.sqrt(max(0.0, 1.0 - abs(float(np.tensordot(a.matrix, b.matrix)))))
+    lowest = float(np.linalg.eigvalsh(p)[0])
+    bound = math.sqrt(2.0) * delta + EIG_REL
+    return delta <= CERT_REL and lowest > 0.0 and lowest * (mu - math.sqrt(a.dim) * EIG_REL) > bound
+
+
+def _support_decision(
+    pair: UnitPair,
+) -> tuple[DissipativityVerdict, np.ndarray | None, tuple[float, float, float], int]:
+    """Decide a pair whose span is a plane by one support search on its unit pair.
+
+    M^ is evaluated at phi = 0 and pi/2, then in the middle of the widest
+    empty polar angle of the support points while that is pi or more
+    (angles, not polygon edges: a polygonal range repeats its vertices).  One
+    `eigh` covers an angle and its half-turn, M^(t + pi) = -M^(t); its bottom
+    and top eigenvectors give the points of the range on its supporting
+    lines with outer normals t + pi and t.
+    - DISSIPATIVE at the first evaluated angle with lambda_min >= -EIG_REL.
+    - NON_DISSIPATIVE once the points surround 0 and their P
+      (`_polygon_candidate`) passes `_excludes_psd`.
+    - Otherwise, or after `_SUPPORT_CALLS` calls, the maximum c over the
+      circle of lambda_min (`_max_min_eig`, from the best evaluated angle)
+      decides: DISSIPATIVE at its angle when c >= -EIG_REL, else
+      NON_DISSIPATIVE.
+
+    Returns the verdict at the caller's angle and scale, whose
+    `extreme_min_eig` is the best evaluated value; P if the points surrounded
+    0 and the pair is non-dissipative, else None; the unit arc (lo, phi, hi)
+    of the best evaluated angle phi and its neighbours among the evaluated
+    angles; and the `eigh` count.
+    """
+    a, b = pair.a, pair.b
+    zs, tried = np.empty((a.dim, 0)), []
+    best_value, best_phi, p, proved = -math.inf, 0.0, None, False
+    pending = [0.5 * math.pi, 0.0]
+    for calls in range(1, _SUPPORT_CALLS + 1):
+        t = pending.pop()
+        w, v = np.linalg.eigh(pair.element(t))
+        tried += [t, t + math.pi]
+        for value, phi in ((float(w[0]), t), (-float(w[-1]), t + math.pi)):
+            if value >= -EIG_REL:
+                extreme = pair.value(pair.theta(phi), value)
+                return _dissipative(pair, phi, extreme), None, _arc(tried, phi), calls
+            if value > best_value:
+                best_value, best_phi = value, phi
+        zs = np.column_stack([zs, v[:, 0], v[:, -1]])
+        if pending:
+            continue
+        points = np.stack([np.sum(zs * (f.matrix @ zs), axis=0) for f in (a, b)])
+        angles = np.arctan2(points[1], points[0])
+        order = np.argsort(angles)
+        zs, points, angles = zs[:, order], points[:, order], angles[order]
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
+        k = int(np.argmax(gaps))
+        if gaps[k] >= math.pi:
+            pending.append(float(angles[k] + 0.5 * gaps[k]))
+            continue
+        p = _polygon_candidate(pair, zs, points, angles)
+        proved = _excludes_psd(pair, p)
+        break
+    arc = _arc(tried, best_phi)
+    verdict = DissipativityVerdict(
+        Dissipativity.NON_DISSIPATIVE, None, pair.value(pair.theta(best_phi), best_value)
+    )
+    if proved:
+        return verdict, p, arc, calls
+    # The unit pair as its own caller: its value and angle are read unmapped.
+    value, phi = _max_min_eig(unit_pair(a, b), arc)
+    if value >= -EIG_REL:
+        return _dissipative(pair, phi, pair.value(pair.theta(phi), value)), None, arc, calls
+    return verdict, p, arc, calls
+
+
+def _arc(tried: list[float], phi: float) -> tuple[float, float, float]:
+    """(lo, phi, hi): the evaluated angle phi and its neighbours among the
+    evaluated angles on the circle; the neighbour behind is the one farthest
+    ahead."""
+    ahead = np.mod(np.array(tried) - phi, 2.0 * math.pi)
+    ahead = ahead[ahead > 0.0]
+    return phi + float(np.max(ahead)) - 2.0 * math.pi, phi, phi + float(np.min(ahead))
+
+
+def _decision(pair: UnitPair) -> tuple[DissipativityVerdict, np.ndarray | None, int]:
+    """`is_non_dissipative` on a caller's unit pair, with the candidate P of a
+    non-dissipative pair (None when the search built none) and the `eigh`
+    calls spent."""
+    rank = span_rank(pair.a, pair.b)
+    if rank == 0:
+        raise ValueError("both forms vanish; the pair is undefined")
+    if rank == 2:
+        verdict, p, arc, calls = _support_decision(pair)
+        return replace(verdict, extreme_min_eig=_max_min_eig(pair, arc)[0]), p, calls
+    verdict = _dependent_span_verdict(pair)
+    if not verdict.non_dissipative:
+        return verdict, None, 0
+    d, size = _descent(pair)
+    if size == 0.0:
+        return verdict, np.eye(pair.a.dim) / pair.a.dim, 0
+    # The range is a segment along d; the top point of M at d's angle ends it.
+    w, v = np.linalg.eigh(pair.element(math.atan2(d[1], d[0])))
+    return verdict, _annihilator(np.outer(v[:, -1], v[:, -1]), float(w[-1]), size), 1
+
+
+def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdict:
+    """Decide whether any nonzero pencil element is positive semidefinite.
+
+    `kind` and `theta` come from `_support_decision` on the unit pair.
+    `extreme_min_eig` is a diagnostic: the maximum over the circle of the
+    smallest eigenvalue (`_max_min_eig`), found from the decision's best
+    angle by a golden-section polish and checked by one level-set
+    computation.  Pairs spanning a single direction are decided, and their
+    `extreme_min_eig` read, from the generator's definiteness.
+    """
+    return _decision(unit_pair(a, b))[0]
 
 
 def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
-    """Q > 0 with tr(Q A Q) = tr(Q B Q) = 0, in closed form from support points.
+    """Q > 0 with tr(Q A Q) = tr(Q B Q) = 0: Q = P^(1/2) for the P of the decision.
 
     A dissipative pair is INFEASIBLE with its PSD direction; every outcome
-    carries the dissipativity decision as `verdict`.  Otherwise, on the
-    unit pair (A^, B^), let tau = (tr A^, tr B^) / n; the ray from 0 along -tau
-    leaves the range at r (`_exit_point`); P = (1 - eps) E + (eps / n) I with
-    eps = r / (r + |tau|) has tr(P A) = tr(P B) = 0 and lambda_min(P) >= eps / n
-    (I / n for a traceless pair).  Q = P^(1/2) is accepted when both residuals
-    on the unit pair are within CERT_REL and P > 0; they are reported at the
+    carries the decision as `verdict`.  P comes from the support polygon of
+    `_support_decision` (`_polygon_candidate`), or for a one-line span from
+    the segment that is its range.  Q is accepted when both residuals on the
+    unit pair are within CERT_REL and P > 0; they are reported at the
     caller's scale, |A|_F tr(P A^) and |B|_F tr(P B^).  `iterations` counts
     `eigh` calls.
     """
-    verdict = is_non_dissipative(a, b)
+    pair = unit_pair(a, b)
+    verdict, p, calls = _decision(pair)
     if not verdict.non_dissipative:
         return CertificateOutcome(
-            CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, verdict=verdict
+            CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, iterations=calls,
+            verdict=verdict,
         )
-    pair = unit_pair(a, b)
-    a, b = pair.a, pair.b
-    tau = np.array([np.trace(a.matrix), np.trace(b.matrix)]) / a.dim
-    size = math.hypot(*tau)
-    p, calls = np.eye(a.dim) / a.dim, 0
-    if size > 0.0:
-        calls, r, edge = _exit_point(a, b, -tau / size)
-        eps = r / (r + size)
-        p = (1.0 - eps) * edge + eps * p
-    w, vecs = np.linalg.eigh(p)
-    residuals = [abs(float(np.tensordot(p, f.matrix))) for f in (a, b)]
-    if max(residuals) > CERT_REL or w[0] <= 0.0:
-        return CertificateOutcome(
-            CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=calls, verdict=verdict
-        )
-    q = (vecs * np.sqrt(w)) @ vecs.T
-    residual_a, residual_b = pair.scaled(*residuals)
-    certificate = TraceCertificate(q, residual_a, residual_b, float(np.sqrt(w[0])))
+    if p is not None:
+        w, vecs = np.linalg.eigh(p)
+        residuals = [abs(float(np.tensordot(p, f.matrix))) for f in (pair.a, pair.b)]
+        if max(residuals) <= CERT_REL and w[0] > 0.0:
+            q = (vecs * np.sqrt(w)) @ vecs.T
+            residual_a, residual_b = pair.scaled(*residuals)
+            certificate = TraceCertificate(q, residual_a, residual_b, float(np.sqrt(w[0])))
+            return CertificateOutcome(
+                CertificateStatus.FOUND, certificate, iterations=calls, verdict=verdict
+            )
     return CertificateOutcome(
-        CertificateStatus.FOUND, certificate, iterations=calls, verdict=verdict
+        CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=calls, verdict=verdict
     )

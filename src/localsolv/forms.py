@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,9 +120,12 @@ class SymmetricForm:
 
 @dataclass(frozen=True)
 class SymplecticStructure:
-    """Non-degenerate skew pairing on an even-dimensional real space."""
+    """Non-degenerate skew pairing on an even-dimensional real space.
+
+    `sigma_min` is the smallest singular value of J, 1 / |J^-1|_2."""
 
     J: np.ndarray
+    sigma_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = np.array(self.J, dtype=float)
@@ -139,6 +142,7 @@ class SymplecticStructure:
             raise ValueError("pairing matrix is degenerate")
         j.flags.writeable = False
         object.__setattr__(self, "J", j)
+        object.__setattr__(self, "sigma_min", float(s[-1]) if s.size else 1.0)
 
     @property
     def two_d(self) -> int:

@@ -35,8 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, numerical_rank, rng_for, unit_vector
-from .dissipativity import _decide, _max_min_eig, decide
-from .errors import NumericalInconclusiveError
+from .dissipativity import _dependent_span_verdict, _max_min_eig, _support_decision
 from .forms import (
     SymmetricForm,
     SymplecticStructure,
@@ -459,20 +458,21 @@ def _plane_gap(an: np.ndarray, bn: np.ndarray) -> float:
     return float(np.min(np.hypot(residual[0], residual[1])))
 
 
-def zero_set_gap(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> float:
+def zero_set_gap(a: SymmetricForm, b: SymmetricForm) -> float:
     """A proved lower bound on ||(Q_An(z), Q_Bn(z))|| over unit vectors z.
 
     An and Bn are the unit-Frobenius forms the searches test residuals on,
     so a gap above sqrt(2) * ZERO_TOL means no point can pass that test.
     For n = 2 the bound is the exact minimum (`_plane_gap`).  Otherwise it
-    is 0 when `dissipativity.decide` finds (An, Bn) non-dissipative or
-    raises, and else max(0, delta), where delta is the maximum over phi of
-    the smallest eigenvalue of cos(phi) An + sin(phi) Bn, found from the
-    decision's best angle (`dissipativity._max_min_eig`; for a one-line span,
-    read at the decision's angle).  For n >= 3 the range of (Q_An, Q_Bn) on
-    the unit sphere is convex (Brickman 1961), so max(0, delta) is its exact
-    distance from 0, which is positive exactly when the joint zero set is
-    {0} (Calabi 1964).
+    is 0 when the dissipativity decision (`dissipativity._support_decision`)
+    finds (An, Bn) non-dissipative, and else max(0, delta), where delta is
+    the maximum over phi of the smallest eigenvalue of cos(phi) An +
+    sin(phi) Bn, found from the decision's best angle
+    (`dissipativity._max_min_eig`; for a one-line span, read at the
+    decision's angle).  For n >= 3 the range of (Q_An, Q_Bn) on the unit
+    sphere is convex (Brickman 1961), so max(0, delta) is its exact distance
+    from 0, which is positive exactly when the joint zero set is {0}
+    (Calabi 1964).
     """
     an, bn, *_ = unit_pair(a, b)
     if a.dim == 2:
@@ -482,15 +482,11 @@ def zero_set_gap(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> float:
         return 0.0
     # The unit pair as its own caller: every angle and value map is the identity.
     pair = unit_pair(an, bn)
-    try:
-        verdict, arc = _decide(
-            pair, rank_profile(an, bn, seed=seed) if rank == 2 else None, pair.phi
-        )
-    except NumericalInconclusiveError:
-        return 0.0
-    if verdict.non_dissipative:
-        return 0.0
-    return max(verdict.witness_min_eig if arc is None else _max_min_eig(pair, arc)[0], 0.0)
+    if rank == 1:
+        verdict = _dependent_span_verdict(pair)
+        return 0.0 if verdict.non_dissipative else max(verdict.witness_min_eig, 0.0)
+    verdict, _, arc, _ = _support_decision(pair)
+    return 0.0 if verdict.non_dissipative else max(_max_min_eig(pair, arc)[0], 0.0)
 
 
 def _second_singular(u: np.ndarray, v: np.ndarray) -> float:
@@ -514,14 +510,14 @@ def _restarted_search(a, b, restarts, seed, attempt) -> WitnessSearch:
     """
     if restarts < 0:
         raise ValueError(f"restarts must be non-negative, got {restarts}")
-    if a.dim == 2 and zero_set_gap(a, b, seed) > _EMPTY_CUT:
+    if a.dim == 2 and zero_set_gap(a, b) > _EMPTY_CUT:
         return WitnessSearch(None, 0, restarts, SearchStatus.EMPTY)
     ks = range(min(restarts, 1))
     while ks:
         witness = attempt(ks)
         if witness is not None:
             return WitnessSearch(witness, witness.attempts, restarts, SearchStatus.FOUND)
-        if ks.start == 0 and a.dim != 2 and zero_set_gap(a, b, seed) > _EMPTY_CUT:
+        if ks.start == 0 and a.dim != 2 and zero_set_gap(a, b) > _EMPTY_CUT:
             return WitnessSearch(None, 1, restarts, SearchStatus.EMPTY)
         ks = range(ks.stop, min(ks.stop + _BLOCK, restarts))
     return WitnessSearch(None, restarts, restarts, SearchStatus.EXHAUSTED)
@@ -648,8 +644,9 @@ def hypothesis_report(
 
     Branch I requires minrank >= 3 and maxrank >= 17; branch II requires
     minrank = 2, maxrank >= 9 and a trivial or symplectic joint radical.
-    Every condition is read on the unit pair (`pencil.unit_pair`); the
-    angles in the notes are the caller's.
+    Every condition is read on the unit pair (`pencil.unit_pair`), and the
+    independence of A, B and C on C times sigma_min(J), which no scaling of
+    the pairing changes; the angles in the notes are the caller's.
     """
     pair = unit_pair(a, b)
     if a.dim != structure.two_d:
@@ -670,10 +667,12 @@ def hypothesis_report(
         minrank, maxrank = profile.minrank, profile.maxrank
         for phi in profile.marginal:
             notes.append(f"marginal rank decision near theta={pair.theta(phi) % (2.0 * np.pi):.6f}")
-        # C of the unit pair, not rescaled: a commuting pair's noise stays under the cut
-        unit = (a, b, poisson_bracket(a, b, structure))
-        independent = numerical_rank(np.column_stack([f.matrix.ravel() for f in unit])) == 3
-    verdict = decide(a, b, profile)
+        # C of the unit pair times sigma_min(J) = 1 / |J^-1|_2: |C|_F stays under
+        # 4 whatever the pairing's scale, and a commuting pair's noise under the cut
+        c = structure.sigma_min * poisson_bracket(a, b, structure).matrix
+        stack = np.column_stack([a.matrix.ravel(), b.matrix.ravel(), c.ravel()])
+        independent = numerical_rank(stack) == 3
+    verdict = _dependent_span_verdict(pair) if profile is None else _support_decision(pair)[0]
 
     radical = joint_radical(a, b)
     status = radical_status(radical, structure)

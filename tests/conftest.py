@@ -41,14 +41,37 @@ def traceless_pair(n, rng):
 
 
 def congruent_pair(a, b, rng, cond_cap=10.0):
-    """Random congruence image of a pair, with controlled conditioning."""
+    """Random congruence image of a pair: T = U diag(s) V^T with random
+    orthogonal U, V and singular values s drawn in [1, cond_cap], so that
+    cond(T) <= cond_cap in one draw."""
     n = a.dim
-    while True:
-        t = rng.standard_normal((n, n))
-        s = np.linalg.svd(t, compute_uv=False)
-        if s[-1] > s[0] / cond_cap:
-            break
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    t = u @ np.diag(rng.uniform(1.0, cond_cap, n)) @ v.T
     return SymmetricForm(t.T @ a.matrix @ t), SymmetricForm(t.T @ b.matrix @ t), t
+
+
+def commuting_pair(d, rng):
+    """Traceless A and B on the position block of R^(2d), so {A, B} = 0,
+    moved by a symplectic congruence: their computed bracket is rounding
+    noise, not a third direction."""
+    a, b = np.zeros((2 * d, 2 * d)), np.zeros((2 * d, 2 * d))
+    a[:d, :d] = random_traceless_form(d, rng).matrix
+    b[:d, :d] = random_traceless_form(d, rng).matrix
+    x = random_symmetric(d, rng)
+    y = rng.standard_normal((d, d)) + 3.0 * np.eye(d)
+    shear = np.block([[np.eye(d), x], [np.zeros((d, d)), np.eye(d)]])
+    s = shear @ np.block([[y, np.zeros((d, d))], [np.zeros((d, d)), np.linalg.inv(y).T]])
+    return s.T @ a @ s, s.T @ b @ s
+
+
+def position_embedding(d):
+    """E of shape 2d x (2d + 2), keeping the first d positions of R^(2d + 2)
+    and their momenta, so that E J E^t is the canonical J of R^(2d)."""
+    e = np.zeros((2 * d, 2 * d + 2))
+    e[:d, :d] = np.eye(d)
+    e[d:, d + 1 : 2 * d + 1] = np.eye(d)
+    return e
 
 
 def dissipative_pair(n, rng, psd_rank=None):
@@ -69,6 +92,24 @@ def haar_congruence(n, rng, cond=4.0):
     u = np.linalg.qr(rng.standard_normal((n, n)))[0]
     v = np.linalg.qr(rng.standard_normal((n, n)))[0]
     return u @ np.diag(np.geomspace(1.0, cond, n)) @ v.T
+
+
+def close_drop_pairs(count):
+    """The first `count` congruent-diagonal pairs drawn in order from one seed:
+    n = 22..39, unit radii at uniform random angles, a Gaussian congruence.
+    Yields (index, A, B).  Their closest drops lie 1e-4 to 5e-4 apart, and
+    the pencil is nearly singular between them."""
+    rng = np.random.default_rng(12345)
+    for index in range(count):
+        n = int(rng.integers(22, 40))
+        phi = rng.uniform(0.0, 2.0 * np.pi, n)
+        t = rng.standard_normal((n, n))
+        a = SymmetricForm(t.T @ np.diag(np.cos(phi)) @ t)
+        yield index, a, SymmetricForm(t.T @ np.diag(np.sin(phi)) @ t)
+
+
+# Indices of `close_drop_pairs` on which an inertia check of the drops failed.
+CLOSE_DROP_INDICES = (6, 9, 20, 58, 80, 91, 95, 111, 166, 186, 209, 292, 296)
 
 
 def l1_block():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from localsolv.cli import main
+from conftest import close_drop_pairs
 
 SCHEMA = json.loads(
     importlib.resources.files("localsolv").joinpath("report_schema_v1.json").read_text()
@@ -197,6 +198,23 @@ def test_check_heisenberg_dissipative_condition_a(capsys, tmp_path):
     assert code == 0
     assert report["result"]["outcome"] == "INCONCLUSIVE"
     assert report["result"]["condition_a"] is False
+
+
+def test_close_drop_pair_is_decided(capsys, tmp_path):
+    # n = 30 with two drops 1e-4 apart: both commands exited 3 when the
+    # inertia between the drops was read against their ranks
+    (_, a, b), = (pair for pair in close_drop_pairs(10) if pair[0] == 9)
+    path = tmp_path / "heis.json"
+    path.write_text(json.dumps({"d": 15, "A_re": a.matrix.tolist(), "A_im": b.matrix.tolist()}))
+    code, report = run_json(capsys, "check-heisenberg", str(path))
+    assert code == 0
+    assert report["result"]["outcome"] == "NOT_LOCALLY_SOLVABLE"
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps({"n": 30, "A": a.matrix.tolist(), "B": b.matrix.tolist()}))
+    code, report = run_json(capsys, "dissipativity", str(path))
+    assert code == 0
+    assert report["result"]["verdict"] == "NON_DISSIPATIVE"
+    assert report["result"]["certificate_status"] == "FOUND"
 
 
 def test_check_two_step_matches_heisenberg(capsys, tmp_path):

@@ -16,13 +16,15 @@ from localsolv import (
     is_non_dissipative,
     trace_certificate,
 )
-from localsolv import dissipativity, pencil, rank_profile, witness
+from localsolv import dissipativity, rank_profile, witness
 from localsolv._numeric import CERT_REL, EIG_REL
-from localsolv.dissipativity import Dissipativity, decide
-from localsolv.errors import NumericalInconclusiveError
+from localsolv.dissipativity import Dissipativity
 from localsolv.fixtures import all_fixtures
 from localsolv.forms import SymplecticStructure
+from localsolv.pencil import unit_pair
 from conftest import (
+    CLOSE_DROP_INDICES,
+    close_drop_pairs,
     congruent_pair,
     dissipative_pair,
     haar_congruence,
@@ -209,11 +211,7 @@ def test_trace_normalize_kills_traces(rng):
 
 
 # ---------------------------------------------------------------------------
-# the exact decision from the pencil's singular angles
-
-
-def decision(a, b):
-    return decide(a, b, rank_profile(a, b))
+# the decision against a dense scan
 
 
 def assert_agrees(a, b, verdict, oracle, margin=1e-6):
@@ -254,7 +252,7 @@ def test_decision_matches_scan_oracle_on_random_pairs():
         phi = rng.uniform(0.0, 2.0 * np.pi)
         a = SymmetricForm(random_symmetric(n, rng) + shift * np.cos(phi) * np.eye(n))
         b = SymmetricForm(random_symmetric(n, rng) + shift * np.sin(phi) * np.eye(n))
-        verdict = decision(a, b)
+        verdict = is_non_dissipative(a, b)
         assert_agrees(a, b, verdict, scan_oracle(a, b, grid=2_000))
         outcomes[verdict.non_dissipative] += 1
     assert min(outcomes.values()) >= 100
@@ -269,10 +267,9 @@ def test_decision_on_planted_arc_pairs(n, delta):
     phi = spread_angles(n, np.pi + delta, rng)
     radii = rng.uniform(0.5, 2.0, n)
     a, b = planted_pair(phi, radii, haar_congruence(n, rng))
-    verdict = decision(a, b)
+    verdict = is_non_dissipative(a, b)
     assert verdict.non_dissipative == (delta > 0.0)
     assert_agrees(a, b, verdict, scan_oracle(a, b, grid=20_000), margin=1e-7)
-    assert is_non_dissipative(a, b).kind is verdict.kind
 
 
 @pytest.mark.parametrize("n, k", [(4, 1), (4, 2), (8, 3), (12, 1), (12, 10)])
@@ -288,7 +285,7 @@ def test_decision_finds_psd_element_at_a_single_singular_angle(n, k):
     b0 = np.sin(theta0) * psd + np.cos(theta0) * other
     p = haar_congruence(n, rng)
     a, b = SymmetricForm(p.T @ a0 @ p), SymmetricForm(p.T @ b0 @ p)
-    verdict = decision(a, b)
+    verdict = is_non_dissipative(a, b)
     assert verdict.kind is Dissipativity.DISSIPATIVE
     gap = abs(verdict.theta - theta0) % (2.0 * np.pi)
     assert min(gap, 2.0 * np.pi - gap) < 1e-6
@@ -296,7 +293,6 @@ def test_decision_finds_psd_element_at_a_single_singular_angle(n, k):
     assert scan_oracle(a, b, extra=[verdict.theta]) >= -scale_bound(EIG_REL, a, b)
     m = np.cos(verdict.theta) * a.matrix + np.sin(verdict.theta) * b.matrix
     assert np.linalg.eigvalsh(m)[0] >= -scale_bound(EIG_REL, a, b)
-    assert is_non_dissipative(a, b).kind is Dissipativity.DISSIPATIVE
 
 
 def test_decision_on_definite_pairs():
@@ -309,7 +305,7 @@ def test_decision_on_definite_pairs():
         phi = rng.uniform(0.0, 2.0 * np.pi)
         a = SymmetricForm(np.cos(phi) * definite - np.sin(phi) * other)
         b = SymmetricForm(np.sin(phi) * definite + np.cos(phi) * other)
-        verdict = decision(a, b)
+        verdict = is_non_dissipative(a, b)
         assert verdict.kind is Dissipativity.DISSIPATIVE
         assert_agrees(a, b, verdict, scan_oracle(a, b, grid=2_000))
 
@@ -332,7 +328,7 @@ def test_decision_on_singular_pencils(kind):
         b0 = np.block([[b0, np.zeros((n, len(extra_b)))], [np.zeros((len(extra_b), n)), extra_b]])
         p = haar_congruence(len(a0), rng)
         a, b = SymmetricForm(p.T @ a0 @ p), SymmetricForm(p.T @ b0 @ p)
-        verdict = decision(a, b)
+        verdict = is_non_dissipative(a, b)
         # an L1 block is indefinite at every angle: it leaves no PSD element
         assert verdict.non_dissipative == (spread > np.pi or kind == "l1")
         # every element vanishes on the kernel, so a PSD one has min eigenvalue 0
@@ -344,41 +340,27 @@ def test_decision_on_singular_pencils(kind):
     assert kind == "l1" or outcomes[False] >= 10
 
 
-def test_decision_raises_when_a_drop_is_missing():
-    # angles 0, 0.1, 2.5, 4.0 lie in no half-circle; entering the half-plane
-    # at 0 and 0.1 in a row, two branches turn positive, so dropping the
-    # class of 0.1 leaves two arcs whose inertias differ by 2 across a
-    # deficiency-1 drop
+def test_condition_a_reads_no_drops(monkeypatch):
+    # angles 0, 0.1, 2.5, 4.0 lie in no half-circle; a profile that loses a
+    # drop or splits one into two must not reach condition (a)
     rng = np.random.default_rng(0x0D5)
-    for _ in range(5):
-        phi = np.array([0.0, 0.1, 2.5, 4.0]) + rng.uniform(0.0, 2.0 * np.pi)
-        a, b = planted_pair(phi, rng.uniform(0.5, 2.0, 4), haar_congruence(4, rng))
-        profile = rank_profile(a, b)
-        assert decide(a, b, profile).non_dissipative
-        psi = (phi[1] + 0.5 * np.pi) % np.pi
-        kept = tuple(
-            (t, r) for t, r in profile.drop_points if abs(np.sin(t - psi)) > 1e-6
-        )
-        assert len(kept) == len(profile.drop_points) - 2
-        with pytest.raises(NumericalInconclusiveError, match="missing or misplaced"):
-            decide(a, b, replace(profile, drop_points=kept))
+    phi = np.array([0.0, 0.1, 2.5, 4.0]) + rng.uniform(0.0, 2.0 * np.pi)
+    a, b = planted_pair(phi, rng.uniform(0.5, 2.0, 4), haar_congruence(4, rng))
+    original = witness.rank_profile
+    edits = [lambda drops: drops[1:], lambda drops: drops + ((drops[0][0] + 2e-6, drops[0][1]),)]
+    for edit in edits:
+        def edited(*args, **kwargs):
+            profile = original(*args, **kwargs)
+            return replace(profile, drop_points=edit(profile.drop_points))
 
-
-def test_decision_without_drops_checks_half_turn_inertia():
-    # the hyperbolic pair has no drops, and M and -M share their inertia;
-    # a profile claiming no drops for a pencil that has them must not pass
-    a = SymmetricForm(np.diag([1.0, -1.0]))
-    b = SymmetricForm([[0.0, 1.0], [1.0, 0.0]])
-    assert decision(a, b).non_dissipative
-    phi = np.array([0.0, 2.0, 4.0])
-    a3, b3 = planted_pair(phi, np.ones(3), np.eye(3))
-    profile = rank_profile(a3, b3)
-    assert decide(a3, b3, profile).non_dissipative
-    with pytest.raises(NumericalInconclusiveError):
-        decide(a3, b3, replace(profile, minrank=profile.maxrank, drop_points=()))
+        monkeypatch.setattr(witness, "rank_profile", edited)
+        assert witness.hypothesis_report(a, b, SymplecticStructure.canonical(4)).nondissipative
 
 
 def test_hypothesis_report_runs_the_pencil_once_and_no_scan(monkeypatch):
+    rng = np.random.default_rng(0x4E9)
+    pairs = [traceless_pair(6, rng), dissipative_pair(6, rng)[:2]]
+    expected = [is_non_dissipative(a, b).non_dissipative for a, b in pairs]
     calls = []
     original = witness.rank_profile
 
@@ -390,17 +372,15 @@ def test_hypothesis_report_runs_the_pencil_once_and_no_scan(monkeypatch):
         raise AssertionError("the verdict path must not refine extreme_min_eig")
 
     monkeypatch.setattr(witness, "rank_profile", counted)
-    monkeypatch.setattr(dissipativity, "rank_profile", counted)
     monkeypatch.setattr(dissipativity, "_max_min_eig", forbidden)
     monkeypatch.setattr(dissipativity, "is_non_dissipative", forbidden)
     monkeypatch.setattr(witness, "is_non_dissipative", forbidden, raising=False)
-    rng = np.random.default_rng(0x4E9)
     structure = SymplecticStructure.canonical(6)
-    for a, b in (traceless_pair(6, rng), dissipative_pair(6, rng)[:2]):
+    for (a, b), nondissipative in zip(pairs, expected):
         calls.clear()
         report = witness.hypothesis_report(a, b, structure)
         assert len(calls) == 1
-        assert report.nondissipative == decision(a, b).non_dissipative
+        assert report.nondissipative == nondissipative
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +471,6 @@ def test_hyperbolic_pair_at_extreme_scales(s):
     verdict = is_non_dissipative(a, b)
     assert verdict.kind is Dissipativity.NON_DISSIPATIVE
     assert verdict.extreme_min_eig / s == pytest.approx(-1.0)
-    assert decide(a, b, profile).non_dissipative
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -500,16 +479,14 @@ def test_dissipative_pair_at_extreme_scales(s):
     a1, b1, _ = dissipative_pair(4, rng)
     a, b = SymmetricForm(s * a1.matrix), SymmetricForm(s * b1.matrix)
     reference = is_non_dissipative(a1, b1)
-    for verdict in (is_non_dissipative(a, b), decision(a, b)):
-        assert verdict.kind is Dissipativity.DISSIPATIVE
-        assert verdict.theta == pytest.approx(reference.theta, abs=1e-12)
-        m = np.cos(verdict.theta) * a1.matrix + np.sin(verdict.theta) * b1.matrix
-        assert np.linalg.eigvalsh(m)[0] >= -scale_bound(EIG_REL, a1, b1)
-        assert verdict.witness_min_eig / s == pytest.approx(reference.witness_min_eig)
-        assert verdict.witness_norm / s == pytest.approx(reference.witness_norm)
-    assert is_non_dissipative(a, b).extreme_min_eig / s == pytest.approx(
-        reference.extreme_min_eig
-    )
+    verdict = is_non_dissipative(a, b)
+    assert verdict.kind is Dissipativity.DISSIPATIVE
+    assert verdict.theta == pytest.approx(reference.theta, abs=1e-12)
+    m = np.cos(verdict.theta) * a1.matrix + np.sin(verdict.theta) * b1.matrix
+    assert np.linalg.eigvalsh(m)[0] >= -scale_bound(EIG_REL, a1, b1)
+    assert verdict.witness_min_eig / s == pytest.approx(reference.witness_min_eig)
+    assert verdict.witness_norm / s == pytest.approx(reference.witness_norm)
+    assert verdict.extreme_min_eig / s == pytest.approx(reference.extreme_min_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -585,3 +562,62 @@ def test_certificate_for_one_dimensional_span(generator, factor):
     outcome = trace_certificate(a, b)
     assert_certified(a, b, outcome)
     assert outcome.iterations == (0 if sum(generator) == 0.0 else 1)
+
+
+# ---------------------------------------------------------------------------
+# the support decision: a proving P, or the level-set maximum
+
+
+def assert_proves_non_dissipative(a, b, p):
+    """P proves that no element of the unit pair has lambda_min >= -EIG_REL:
+    tr P = 1, delta = max |tr(P F^)| <= CERT_REL, and lambda_min(P) (mu -
+    sqrt(n) EIG_REL) > sqrt(2) delta + EIG_REL with mu = sqrt(1 - |<A^, B^>|)."""
+    an, bn = a.matrix / a.frobenius(), b.matrix / b.frobenius()
+    assert np.trace(p) == pytest.approx(1.0, abs=1e-12)
+    delta = max(abs(np.trace(p @ an)), abs(np.trace(p @ bn)))
+    mu = np.sqrt(1.0 - abs(np.sum(an * bn)))
+    assert delta <= CERT_REL
+    lowest = np.linalg.eigvalsh(p)[0]
+    assert lowest * (mu - np.sqrt(a.dim) * EIG_REL) > np.sqrt(2.0) * delta + EIG_REL
+
+
+def test_close_drop_pairs_are_proved_non_dissipative():
+    # drops 1e-4 apart with a nearly singular pencil between them: reading
+    # the inertia between drops failed on these 13 of 300 pairs
+    pairs = {i: (a, b) for i, a, b in close_drop_pairs(max(CLOSE_DROP_INDICES) + 1)}
+    for index in CLOSE_DROP_INDICES:
+        a, b = pairs[index]
+        verdict, p, _, calls = dissipativity._support_decision(unit_pair(a, b))
+        assert verdict.non_dissipative, index
+        assert_proves_non_dissipative(a, b, p)
+        assert calls <= 4
+        assert is_non_dissipative(a, b).non_dissipative
+        assert trace_certificate(a, b).found
+
+
+@pytest.mark.parametrize("past", [1e-6, 1e-7])
+@pytest.mark.parametrize("n", [4, 10, 20, 40])
+def test_arc_pairs_just_past_the_cut(n, past, monkeypatch):
+    # so close to the cut that the search's P may miss the gate; then the
+    # level-set maximum decides, and the certificate's own check still passes
+    fallbacks = []
+    original = dissipativity._max_min_eig
+
+    def recorded(pair, arc):
+        fallbacks.append(original(pair, arc))
+        return fallbacks[-1]
+
+    monkeypatch.setattr(dissipativity, "_max_min_eig", recorded)
+    for s in range(5):
+        a, b = arc_pair(n, past, np.random.default_rng([n, s, 0xC07]))
+        fallbacks.clear()
+        verdict, p, _, _ = dissipativity._support_decision(unit_pair(a, b))
+        assert verdict.non_dissipative
+        if fallbacks:
+            ((value, _),) = fallbacks
+            assert value < -EIG_REL
+        else:
+            assert_proves_non_dissipative(a, b, p)
+        if n == 40 and past == 1e-7 and s in (1, 4):
+            assert fallbacks
+        assert_certified(a, b, trace_certificate(a, b))

@@ -1,6 +1,6 @@
 """Verdicts do not depend on the scales of A and B, nor on the other changes
-the theory allows: a symplectic congruence, a phase rotation of A + iB and
-the sign convention of the bracket.
+the theory allows: the scale of the pairing, a symplectic congruence, a
+phase rotation of A + iB and the sign convention of the bracket.
 
 The pairs come from the benchmark's planted pencils (bench/planted.py, read
 only), whose ranks, radicals and dissipativity are known by construction.
@@ -22,14 +22,25 @@ from localsolv import (
     Branch,
     CertificateStatus,
     HeisenbergOperatorSpec,
+    PointSymbolSpec,
     RadicalStatus,
     SymmetricForm,
+    SymplecticStructure,
+    TwoStepGroupSpec,
     VerdictOutcome,
     heisenberg_verdict,
+    point_symbol_verdict,
     trace_certificate,
+    two_step_verdict,
 )
 from localsolv.cli import main
-from conftest import branch_one_instance
+from conftest import (
+    branch_one_instance,
+    commuting_pair,
+    haar_congruence,
+    position_embedding,
+    random_traceless_form,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -166,6 +177,73 @@ def test_cli_pencil_and_certificate_at_a_billion(bench, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# scaling of the pairing: the bracket's rounding noise must not become a
+# third direction of span{A, B, C}
+
+
+def scaled_two_step(s):
+    """The Poisson-commuting d = 17 pair with its commutator matrix s J."""
+    a, b = commuting_pair(17, np.random.default_rng(0xC0))
+    return {"m": 34, "A_re": a.tolist(), "A_im": b.tolist(),
+            "J_list": [(s * SymplecticStructure.canonical(34).J).tolist()]}
+
+
+def scaled_point(s):
+    """Point data T = L^-1 E (E keeps 34 of 36 coordinates, a symplectic
+    subset) with forms L^t A0 L, A0 and B0 on the position block: they commute
+    under the reduced pairing L^t J L.  T is scaled by s and the forms by
+    1 / s^2, so the ambient forms T^t A T stay as they are and only the
+    reduced pairing changes scale."""
+    d = 17
+    rng = np.random.default_rng(0xC1)
+    a0, b0 = np.zeros((2 * d, 2 * d)), np.zeros((2 * d, 2 * d))
+    a0[:d, :d] = random_traceless_form(d, rng).matrix
+    b0[:d, :d] = random_traceless_form(d, rng).matrix
+    ell = haar_congruence(2 * d, rng)
+    t = np.linalg.solve(ell, position_embedding(d))
+    a, b = (ell.T @ f @ ell / s**2 for f in (a0, b0))
+    return {"n": d + 1, "m": 2 * d, "T": (s * t).tolist(), "A_re": a.tolist(), "A_im": b.tolist()}
+
+
+def assert_commuting_verdict(verdict):
+    assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+    assert verdict.condition_a and verdict.condition_c is Branch.I
+    assert not verdict.condition_b
+
+
+@pytest.mark.parametrize("s", [1.0, 1e4, 1e8, 1e12, 1e16, 1e20, 1e30])
+def test_scaled_commutator_matrix_keeps_condition_b_false(s):
+    # s = 1e12 to 1e20 gave NOT_LOCALLY_SOLVABLE with condition (b) true
+    p = scaled_two_step(s)
+    spec = TwoStepGroupSpec(
+        p["m"], tuple(np.array(j) for j in p["J_list"]),
+        SymmetricForm(p["A_re"]), SymmetricForm(p["A_im"]),
+    )
+    assert_commuting_verdict(two_step_verdict(spec))
+
+
+@pytest.mark.parametrize("s", [1e-5, 1.0, 1e3, 1e5, 1e6, 1e8])
+def test_scaled_point_map_keeps_condition_b_false(s):
+    # s = 1e5 and 1e6 gave NOT_LOCALLY_SOLVABLE with condition (b) true
+    p = scaled_point(s)
+    spec = PointSymbolSpec(
+        p["n"], p["m"], np.array(p["T"]), SymmetricForm(p["A_re"]), SymmetricForm(p["A_im"])
+    )
+    assert_commuting_verdict(point_symbol_verdict(spec))
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("check-2step", scaled_two_step(1e16)),
+    ("check-point", scaled_point(1e6)),
+])
+def test_scaled_pairing_through_the_cli(tmp_path, capsys, command, payload):
+    code, result = cli_report(tmp_path, capsys, command, payload)
+    assert code == 0
+    assert result["outcome"] == "INCONCLUSIVE"
+    assert result["condition_b"] is False
+
+
+# ---------------------------------------------------------------------------
 # invariance, as a property
 
 
@@ -227,3 +305,11 @@ def test_verdict_is_invariant(bench, d, classes, zeros, dissipative, seed):
         a2, b2 = transformed(a, b, kind, rng)
         spec = HeisenbergOperatorSpec(d, SymmetricForm(a2), SymmetricForm(b2))
         assert outcome(heisenberg_verdict(spec)) == reference, kind
+    # the same pair through a scaled commutator matrix and a scaled point map
+    forms = SymmetricForm(a), SymmetricForm(b)
+    k = int(rng.integers(-10, 11))
+    spec = TwoStepGroupSpec(n, (10.0**k * SymplecticStructure.canonical(n).J,), *forms)
+    assert outcome(two_step_verdict(spec)) == reference, ("pairing", k)
+    k = int(rng.integers(-10, 11))
+    spec = PointSymbolSpec(d + 1, n, 10.0**k * position_embedding(d), *forms)
+    assert outcome(point_symbol_verdict(spec)) == reference, ("point", k)

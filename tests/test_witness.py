@@ -432,7 +432,7 @@ def test_non_dissipative_pairs_are_never_empty():
     for k in range(200):
         n = 3 + k % 10
         a, b = in_random_coordinates(*traceless_pair(n, rng), rng)
-        assert zero_set_gap(a, b, seed=k) == 0.0
+        assert zero_set_gap(a, b) == 0.0
         for search in both_searches(a, b, restarts=2, seed=k):
             assert search.status is not SearchStatus.EMPTY
 
@@ -628,13 +628,13 @@ def ref_attempt(a, b, c, k, seed):
 
 def ref_search(a, b, c, restarts, seed):
     """(status, attempts, point, margin) of the per-restart loop."""
-    if a.dim == 2 and zero_set_gap(a, b, seed) > 1e-6:
+    if a.dim == 2 and zero_set_gap(a, b) > 1e-6:
         return SearchStatus.EMPTY, 0, None, None
     for k in range(restarts):
         found = ref_attempt(a, b, c, k, seed)
         if found is not None:
             return SearchStatus.FOUND, k + 1, *found
-        if k == 0 and a.dim != 2 and zero_set_gap(a, b, seed) > 1e-6:
+        if k == 0 and a.dim != 2 and zero_set_gap(a, b) > 1e-6:
             return SearchStatus.EMPTY, 1, None, None
     return SearchStatus.EXHAUSTED, restarts, None, None
 
