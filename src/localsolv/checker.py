@@ -321,7 +321,9 @@ def point_symbol_verdict(spec: PointSymbolSpec, seed: int = 42) -> Verdict:
     c_small = poisson_bracket(spec.a_re, spec.a_im, reduced)
     c_big_pulled = SymmetricForm(4.0 * t.T @ c_small.matrix @ t)
     c_big_direct = poisson_bracket(a_big, b_big, ambient)
-    scale_c = max(frob(c_big_direct.matrix), 1.0)
+    # Rounding in C is relative to its bound 4 |A_big|_F |B_big|_F, not to
+    # |C|_F: a commuting pair's C is that rounding alone
+    scale_c = 4.0 * a_big.frobenius() * b_big.frobenius()
     _check_close("bracket pullback", c_big_pulled.matrix, c_big_direct.matrix, tol * scale_c)
 
     r = j2n @ t.T @ np.linalg.inv(j_z)
@@ -378,14 +380,14 @@ def step_reduction(
     c = constants.c
     n = constants.n_basis
     tol = 1e-12 * max(1.0, float(np.max(np.abs(c))))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if abs(c[i, j, k]) > tol and grading[k] != grading[i] + grading[j]:
-                    raise GradingError(
-                        f"bracket [{i},{j}] hits basis vector {k} in layer {grading[k]}; "
-                        f"the grading demands layer {grading[i] + grading[j]}"
-                    )
+    layer = np.asarray(grading)
+    wrong = (np.abs(c) > tol) & (layer != layer[:, None, None] + layer[None, :, None])
+    if wrong.any():
+        i, j, k = (int(x) for x in np.argwhere(wrong)[0])
+        raise GradingError(
+            f"bracket [{i},{j}] hits basis vector {k} in layer {grading[k]}; "
+            f"the grading demands layer {grading[i] + grading[j]}"
+        )
     generators = [i for i in range(n) if grading[i] == 1]
     centers = [i for i in range(n) if grading[i] == 2]
     m = len(generators)
@@ -397,10 +399,7 @@ def step_reduction(
         )
     if not centers:
         raise GradingError("no layer-2 directions survive the quotient")
-    j_list = []
-    for center in centers:
-        j = np.array([[c[i, j_, center] for j_ in generators] for i in generators])
-        j_list.append(j)
+    j_list = np.moveaxis(c[np.ix_(generators, generators, centers)], 2, 0)
     deleted = n - m - len(centers)
     note = (
         f"reduced from a {n}-dimensional graded algebra by deleting {deleted} "

@@ -520,7 +520,8 @@ def _cmd_reduce_step(args, payload, warnings):
 
 def _cmd_fixtures(args, payload, warnings):
     restarts = _restarts(args)
-    reports = [verify_fixture(f, restarts=restarts) for f in all_fixtures()]
+    fixtures = all_fixtures()
+    reports = [verify_fixture(f, restarts=restarts) for f in fixtures]
     result = {
         "all_passed": all(r.passed for r in reports),
         "fixtures": [
@@ -533,7 +534,7 @@ def _cmd_fixtures(args, payload, warnings):
                     for c in report.checks
                 ],
             }
-            for fixture, report in zip(all_fixtures(), reports)
+            for fixture, report in zip(fixtures, reports)
         ],
     }
     code = _EXIT_OK if result["all_passed"] else _EXIT_INCONCLUSIVE

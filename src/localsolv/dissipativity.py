@@ -127,18 +127,21 @@ def _dissipative(pair: UnitPair, phi: float, extreme: float) -> DissipativityVer
 
 
 def _dependent_span_verdict(pair: UnitPair) -> DissipativityVerdict:
-    # One-dimensional span: the pair is non-dissipative exactly when the
-    # generator is indefinite; extreme_min_eig is read on the generator.
+    """A one-line span, M^(phi) = (alpha cos(phi) + beta sin(phi)) G: it is
+    non-dissipative exactly when G is indefinite.  The caller's elements of
+    largest norm are +-K G, K = 2**e hypot(ra alpha, rb beta); extreme_min_eig
+    is the larger of their lambda_min, K max(lambda_min(G), -lambda_max(G)),
+    which for a semidefinite G is the maximum over the caller's circle."""
     gen = pair.generator()
     w = np.linalg.eigvalsh(gen.matrix)
     lo, hi = float(w[0]), float(w[-1])
-    if lo < -EIG_REL and hi > EIG_REL:
-        return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, max(lo, -hi))
-    # M^(phi) = (alpha cos(phi) + beta sin(phi)) G: phi points along +G, or
-    # along -G when the generator is negative semidefinite.
     alpha, beta = (float(np.tensordot(f.matrix, gen.matrix)) for f in (pair.a, pair.b))
+    extreme = math.ldexp(math.hypot(pair.ra * alpha, pair.rb * beta) * max(lo, -hi), pair.e)
+    if lo < -EIG_REL and hi > EIG_REL:
+        return DissipativityVerdict(Dissipativity.NON_DISSIPATIVE, None, extreme)
+    # phi points along +G, or along -G when the generator is negative semidefinite.
     phi = math.atan2(beta, alpha) + (math.pi if lo < -EIG_REL else 0.0)
-    return _dissipative(pair, phi, max(lo, -hi))
+    return _dissipative(pair, phi, extreme)
 
 
 def _min_eig(a: SymmetricForm, b: SymmetricForm, theta: float) -> float:
@@ -355,25 +358,27 @@ def _arc(tried: list[float], phi: float) -> tuple[float, float, float]:
     return phi + float(np.max(ahead)) - 2.0 * math.pi, phi, phi + float(np.min(ahead))
 
 
-def _decision(pair: UnitPair) -> tuple[DissipativityVerdict, np.ndarray | None, int]:
-    """`is_non_dissipative` on a caller's unit pair, with the candidate P of a
-    non-dissipative pair (None when the search built none) and the `eigh`
-    calls spent."""
+def _decision(
+    pair: UnitPair,
+) -> tuple[DissipativityVerdict, np.ndarray | None, tuple[float, float, float] | None, int]:
+    """Condition (a) on a caller's unit pair: the verdict (for a plane span
+    without the `_max_min_eig` diagnostic), the candidate P of a
+    non-dissipative pair or None, the unit arc of `_support_decision` (None
+    for a one-line span) and the `eigh` calls spent."""
     rank = span_rank(pair.a, pair.b)
     if rank == 0:
         raise ValueError("both forms vanish; the pair is undefined")
     if rank == 2:
-        verdict, p, arc, calls = _support_decision(pair)
-        return replace(verdict, extreme_min_eig=_max_min_eig(pair, arc)[0]), p, calls
+        return _support_decision(pair)
     verdict = _dependent_span_verdict(pair)
     if not verdict.non_dissipative:
-        return verdict, None, 0
+        return verdict, None, None, 0
     d, size = _descent(pair)
     if size == 0.0:
-        return verdict, np.eye(pair.a.dim) / pair.a.dim, 0
+        return verdict, np.eye(pair.a.dim) / pair.a.dim, None, 0
     # The range is a segment along d; the top point of M at d's angle ends it.
     w, v = np.linalg.eigh(pair.element(math.atan2(d[1], d[0])))
-    return verdict, _annihilator(np.outer(v[:, -1], v[:, -1]), float(w[-1]), size), 1
+    return verdict, _annihilator(np.outer(v[:, -1], v[:, -1]), float(w[-1]), size), None, 1
 
 
 def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdict:
@@ -384,9 +389,11 @@ def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdi
     smallest eigenvalue (`_max_min_eig`), found from the decision's best
     angle by a golden-section polish and checked by one level-set
     computation.  Pairs spanning a single direction are decided, and their
-    `extreme_min_eig` read, from the generator's definiteness.
+    `extreme_min_eig` read, from the generator (`_dependent_span_verdict`).
     """
-    return _decision(unit_pair(a, b))[0]
+    pair = unit_pair(a, b)
+    verdict, _, arc, _ = _decision(pair)
+    return verdict if arc is None else replace(verdict, extreme_min_eig=_max_min_eig(pair, arc)[0])
 
 
 def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
@@ -401,7 +408,9 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
     `eigh` calls.
     """
     pair = unit_pair(a, b)
-    verdict, p, calls = _decision(pair)
+    verdict, p, arc, calls = _decision(pair)
+    if arc is not None:
+        verdict = replace(verdict, extreme_min_eig=_max_min_eig(pair, arc)[0])
     if not verdict.non_dissipative:
         return CertificateOutcome(
             CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, iterations=calls,

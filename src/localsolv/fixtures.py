@@ -5,6 +5,10 @@ the verdict hypotheses: the rank or radical conditions fail in a documented
 way and the corresponding witness search must come back empty.  Expected
 bracket values are stored up to an overall sign, since the global bracket
 sign depends on the coordinate block ordering (see `forms`).
+
+`verify_fixture` classifies nothing itself: non-dissipativity, the ranks,
+the radical and the independence of A, B and the bracket are those of
+`witness.hypothesis_report`, the report the verdicts are assembled from.
 """
 
 from __future__ import annotations
@@ -13,20 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipativity import is_non_dissipative
-from .forms import (
-    SymmetricForm,
-    SymplecticStructure,
-    joint_radical,
-    poisson_bracket,
-    span_rank,
-)
-from .pencil import rank_profile
+from .forms import SymmetricForm, SymplecticStructure, poisson_bracket, span_rank
 from .witness import (
     RadicalStatus,
     SearchStatus,
     bracket_witness,
-    radical_status,
+    hypothesis_report,
     transversality_witness,
 )
 
@@ -230,63 +226,41 @@ def verify_fixture(
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     restarts: int = 200,
 ) -> FixtureReport:
-    """Re-derive every documented property of a fixture and compare."""
-    checks: list[FixtureCheck] = []
+    """Compare every documented property of a fixture with one `hypothesis_report`.
 
-    verdict = is_non_dissipative(fixture.a, fixture.b)
-    checks.append(
+    A picked third form is exact data, not a bracket, so its independence
+    from A and B is read from their span rank.
+    """
+    hyp = hypothesis_report(fixture.a, fixture.b, fixture.structure)
+    checks = [
         FixtureCheck(
             "pair is non-dissipative",
-            verdict.non_dissipative,
-            f"extreme min eigenvalue {verdict.extreme_min_eig:.3e}",
+            hyp.nondissipative,
+            f"verdict condition (a): {hyp.nondissipative}",
         )
-    )
-
+    ]
     if fixture.expected_bracket is not None:
         checks.append(_bracket_matches(fixture))
-
-    profile = rank_profile(fixture.a, fixture.b)
-    if fixture.expected_maxrank is not None:
-        checks.append(
-            FixtureCheck(
-                f"maxrank equals {fixture.expected_maxrank}",
-                profile.maxrank == fixture.expected_maxrank,
-                f"observed {profile.maxrank}",
+    for what, observed, expected in (
+        ("maxrank equals", hyp.maxrank, fixture.expected_maxrank),
+        ("minrank equals", hyp.minrank, fixture.expected_minrank),
+        ("joint radical has dimension", hyp.radical_dim, fixture.expected_radical_dim),
+        ("radical status is", hyp.radical_status.value, fixture.expected_radical_status.value),
+    ):
+        if expected is not None:
+            checks.append(
+                FixtureCheck(f"{what} {expected}", observed == expected, f"observed {observed}")
             )
-        )
-    if fixture.expected_minrank is not None:
-        checks.append(
-            FixtureCheck(
-                f"minrank equals {fixture.expected_minrank}",
-                profile.minrank == fixture.expected_minrank,
-                f"observed {profile.minrank}",
-            )
-        )
-
-    radical = joint_radical(fixture.a, fixture.b)
-    checks.append(
-        FixtureCheck(
-            f"joint radical has dimension {fixture.expected_radical_dim}",
-            radical.dim == fixture.expected_radical_dim,
-            f"observed {radical.dim}",
-        )
-    )
-    status = radical_status(radical, fixture.structure)
-    checks.append(
-        FixtureCheck(
-            f"radical status is {fixture.expected_radical_status.value}",
-            status is fixture.expected_radical_status,
-            f"observed {status.value}",
-        )
-    )
 
     third = fixture.third_form
+    if fixture.picked_c is None:
+        independent = hyp.independent_abc
+        detail = f"verdict condition (b): {independent}"
+    else:
+        rank = span_rank(fixture.a, fixture.b, third)
+        independent, detail = rank == 3, f"span rank {rank}"
     checks.append(
-        FixtureCheck(
-            "A, B and the third form are linearly independent",
-            span_rank(fixture.a, fixture.b, third) == 3,
-            f"span rank {span_rank(fixture.a, fixture.b, third)}",
-        )
+        FixtureCheck("A, B and the third form are linearly independent", independent, detail)
     )
 
     for mode in fixture.witness_modes:

@@ -76,9 +76,6 @@ class SymmetricForm:
         z = np.asarray(z, dtype=float)
         return float(z @ self.matrix @ z)
 
-    def gradient(self, z) -> np.ndarray:
-        return 2.0 * (self.matrix @ np.asarray(z, dtype=float))
-
     def frobenius(self) -> float:
         return frob(self.matrix)
 

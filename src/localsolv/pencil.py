@@ -91,10 +91,6 @@ class UnitPair(NamedTuple):
         """The caller's angle whose element is a positive multiple of M^(phi)."""
         return _turn(self.ra, self.rb, phi)
 
-    def phi(self, theta: float) -> float:
-        """The unit angle of the caller's angle theta (inverse of `theta`)."""
-        return _turn(self.rb, self.ra, theta)
-
     def value(self, theta: float, x: float) -> float:
         """rho(theta) x: an eigenvalue or norm x of M^(phi) at the caller's scale."""
         rho = math.hypot(self.ra * math.cos(theta), self.rb * math.sin(theta))

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, numerical_rank, rng_for, unit_vector
-from .dissipativity import _dependent_span_verdict, _max_min_eig, _support_decision
+from .dissipativity import _decision, _max_min_eig
 from .forms import (
     SymmetricForm,
     SymplecticStructure,
@@ -464,29 +464,26 @@ def zero_set_gap(a: SymmetricForm, b: SymmetricForm) -> float:
     An and Bn are the unit-Frobenius forms the searches test residuals on,
     so a gap above sqrt(2) * ZERO_TOL means no point can pass that test.
     For n = 2 the bound is the exact minimum (`_plane_gap`).  Otherwise it
-    is 0 when the dissipativity decision (`dissipativity._support_decision`)
-    finds (An, Bn) non-dissipative, and else max(0, delta), where delta is
-    the maximum over phi of the smallest eigenvalue of cos(phi) An +
-    sin(phi) Bn, found from the decision's best angle
-    (`dissipativity._max_min_eig`; for a one-line span, read at the
-    decision's angle).  For n >= 3 the range of (Q_An, Q_Bn) on the unit
-    sphere is convex (Brickman 1961), so max(0, delta) is its exact distance
-    from 0, which is positive exactly when the joint zero set is {0}
-    (Calabi 1964).
+    is 0 when the dissipativity decision (`dissipativity._decision`) finds
+    (An, Bn) non-dissipative, and else max(0, delta), where delta is the
+    maximum over phi of the smallest eigenvalue of cos(phi) An + sin(phi) Bn:
+    found from the decision's best angle (`dissipativity._max_min_eig`), or
+    for a one-line span the decision's `extreme_min_eig`.  For n >= 3 the
+    range of (Q_An, Q_Bn) on the unit sphere is convex (Brickman 1961), so
+    max(0, delta) is its exact distance from 0, which is positive exactly
+    when the joint zero set is {0} (Calabi 1964).
     """
     an, bn, *_ = unit_pair(a, b)
     if a.dim == 2:
         return _plane_gap(an.matrix, bn.matrix)
-    rank = span_rank(an, bn)
-    if rank == 0:
+    if span_rank(an, bn) == 0:
         return 0.0
     # The unit pair as its own caller: every angle and value map is the identity.
     pair = unit_pair(an, bn)
-    if rank == 1:
-        verdict = _dependent_span_verdict(pair)
-        return 0.0 if verdict.non_dissipative else max(verdict.witness_min_eig, 0.0)
-    verdict, _, arc, _ = _support_decision(pair)
-    return 0.0 if verdict.non_dissipative else max(_max_min_eig(pair, arc)[0], 0.0)
+    verdict, _, arc, _ = _decision(pair)
+    if verdict.non_dissipative:
+        return 0.0
+    return max(verdict.extreme_min_eig if arc is None else _max_min_eig(pair, arc)[0], 0.0)
 
 
 def _second_singular(u: np.ndarray, v: np.ndarray) -> float:
@@ -598,28 +595,30 @@ def bracket_witness(
 ) -> WitnessSearch:
     """Search for a joint zero of Q_A, Q_B where Q_C does not vanish.
 
-    Restart points are projected onto the joint zero set; when |Q_C| misses
-    the margin 1e-6 * ||C||_F, a tangent-space hill climb pushes the point
-    away from the zero locus of Q_C before the restart is given up.
+    Restart points are projected onto the joint zero set; when |Q_C^| of the
+    unit-Frobenius C^ misses the margin 1e-6, a tangent-space hill climb of
+    |Q_C^| pushes the point off its zero locus before the restart is given
+    up.  The reported margin is |Q_C(z)| at C's own scale.
     """
     if not (a.dim == b.dim == c.dim):
         raise ValueError("forms have mismatched dimensions")
-    threshold = BRACKET_REL * c.frobenius()
+    cn = c.normalized().matrix
     stack = _stacked(a, b)
 
     def attempt(ks: range) -> WitnessResult | None:
         z, ok = _project_rows(stack, _starts(seed, 0xB7AC, ks, a.dim))
         rows = np.flatnonzero(ok)
-        z, value = _hill_climb(stack, c.matrix, z[rows], threshold)
-        high = value > threshold
+        z, value = _hill_climb(stack, cn, z[rows], BRACKET_REL)
+        high = value > BRACKET_REL
         rows = rows[high]
         polished, ok = _polish(stack, z[high])
-        value = np.abs(_rowdot(polished @ c.matrix, polished))
-        passed = np.flatnonzero(ok & (value > threshold))
+        value = np.abs(_rowdot(polished @ cn, polished))
+        passed = np.flatnonzero(ok & (value > BRACKET_REL))
         if not passed.size:
             return None
         i = passed[0]
-        return _witness_from_point(a, b, polished[i], float(value[i]), ks[rows[i]] + 1, "bracket")
+        margin = float(np.abs(_rowdot(polished @ c.matrix, polished))[i])
+        return _witness_from_point(a, b, polished[i], margin, ks[rows[i]] + 1, "bracket")
 
     return _restarted_search(a, b, restarts, seed, attempt)
 
@@ -658,7 +657,6 @@ def hypothesis_report(
         raise ValueError("both forms vanish")
 
     if pair_rank < 2:
-        profile = None
         minrank = maxrank = pair.generator().rank()
         independent = False
         notes.append("pencil is one-dimensional; ranks taken from its generator")
@@ -672,7 +670,7 @@ def hypothesis_report(
         c = structure.sigma_min * poisson_bracket(a, b, structure).matrix
         stack = np.column_stack([a.matrix.ravel(), b.matrix.ravel(), c.ravel()])
         independent = numerical_rank(stack) == 3
-    verdict = _dependent_span_verdict(pair) if profile is None else _support_decision(pair)[0]
+    verdict = _decision(pair)[0]
 
     radical = joint_radical(a, b)
     status = radical_status(radical, structure)

@@ -312,6 +312,26 @@ def test_step_reduction_grading_violation():
         step_reduction(constants, SymmetricForm(np.eye(2)), SymmetricForm.zero(2))
 
 
+def test_step_reduction_reads_every_center_and_the_first_violation():
+    from localsolv.errors import GradingError
+
+    # generators 0, 1, 2 and centers 3, 4: J_k[i, j] = c[i, j, center k]
+    c = np.zeros((5, 5, 5))
+    for i, j, k, value in ((0, 1, 3, 1.0), (0, 2, 4, 2.0), (1, 2, 4, 3.0)):
+        c[i, j, k], c[j, i, k] = value, -value
+    forms = SymmetricForm(np.eye(3)), SymmetricForm(np.diag([1.0, -1.0, 0.0]))
+    spec = step_reduction(StructureConstants(5, c, (1, 1, 1, 2, 2)), *forms)
+    assert spec.ell == 2
+    assert np.array_equal(spec.j_list[0], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    assert np.array_equal(spec.j_list[1], [[0, 0, 2], [0, 0, 3], [-2, -3, 0]])
+    # four components violate this grading; the error names the first in (i, j, k) order
+    with pytest.raises(GradingError) as error:
+        step_reduction(StructureConstants(5, c, (1, 1, 1, 2, 3)), *forms)
+    assert str(error.value) == (
+        "bracket [0,2] hits basis vector 4 in layer 3; the grading demands layer 2"
+    )
+
+
 def test_step_reduction_coefficient_dimension_check():
     constants = free_three_step()
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from localsolv.cli import main
-from conftest import close_drop_pairs
+from conftest import close_drop_pairs, traceless_pair
 
 SCHEMA = json.loads(
     importlib.resources.files("localsolv").joinpath("report_schema_v1.json").read_text()
@@ -176,6 +176,26 @@ def test_witness_bracket_mode_with_supplied_c(capsys, tmp_path):
     assert code == 0
     assert report["result"]["found"] is False
     assert not any("C missing" in w for w in report["warnings"])
+
+
+def test_witness_bracket_mode_with_a_huge_c(capsys, tmp_path):
+    # ||C||_F overflows at C x 1e200: the search was EXHAUSTED after 10 restarts
+    from localsolv import SymplecticStructure, poisson_bracket
+
+    a, b = traceless_pair(6, np.random.default_rng(5))
+    c = 1e200 * poisson_bracket(a, b, SymplecticStructure.canonical(6)).matrix
+    payload = {"n": 6, "A": a.matrix.tolist(), "B": b.matrix.tolist(), "C": c.tolist()}
+    path = tmp_path / "huge_c.json"
+    path.write_text(json.dumps(payload))
+    code, report = run_json(
+        capsys, "witness", str(path), "--mode", "bracket", "--restarts", "10", "--seed", "1"
+    )
+    assert code == 0
+    result = report["result"]
+    assert (result["status"], result["attempts"]) == ("FOUND", 1)
+    z = np.array(result["witness"]["point"])
+    assert result["witness"]["margin"] == pytest.approx(abs(float(z @ c @ z)), rel=1e-9)
+    assert result["witness"]["margin"] > 1e-6 * 1e200
 
 
 def test_check_heisenberg_quartet(capsys, tmp_path):

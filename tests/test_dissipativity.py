@@ -489,6 +489,32 @@ def test_dissipative_pair_at_extreme_scales(s):
     assert verdict.extreme_min_eig / s == pytest.approx(reference.extreme_min_eig)
 
 
+@pytest.mark.parametrize("s", [1.0, 1e6])
+def test_one_line_span_extreme_is_at_the_callers_scale(s):
+    # it read -0.7071 at every s: max(lambda_min, -lambda_max) of the unit generator
+    verdict = is_non_dissipative(SymmetricForm(s * np.diag([1.0, -1.0])), SymmetricForm.zero(2))
+    assert verdict.kind is Dissipativity.NON_DISSIPATIVE
+    assert verdict.extreme_min_eig == pytest.approx(-s, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e6])
+@pytest.mark.parametrize("diag, kind", [
+    ([2.0, -1.0, 0.5], Dissipativity.NON_DISSIPATIVE),
+    ([2.0, 1.0, 0.5], Dissipativity.DISSIPATIVE),
+], ids=["indefinite", "definite"])
+def test_one_line_span_extreme_of_a_multiple_pair(s, diag, kind):
+    # A = D, B = -3D: the elements of largest norm are +-sqrt(10) D
+    d = s * np.diag(diag)
+    verdict = is_non_dissipative(SymmetricForm(d), SymmetricForm(-3.0 * d))
+    assert verdict.kind is kind
+    assert verdict.extreme_min_eig == pytest.approx(np.sqrt(10.0) * s * min(diag), rel=1e-12)
+    if kind is Dissipativity.DISSIPATIVE:
+        grid = np.linspace(0.0, 2.0 * np.pi, 4001)
+        scan = max(np.linalg.eigvalsh(np.cos(t) * d - 3.0 * np.sin(t) * d)[0] for t in grid)
+        assert verdict.extreme_min_eig == pytest.approx(scan, rel=1e-6)
+        assert verdict.witness_min_eig <= verdict.extreme_min_eig * (1.0 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # closed-form certificates from support points
 

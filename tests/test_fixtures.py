@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from localsolv import poisson_bracket, span_rank
-from localsolv.fixtures import all_fixtures, verify_fixture
+from localsolv import SymmetricForm, SymplecticStructure, poisson_bracket, span_rank
+from localsolv.fixtures import FormFixture, all_fixtures, verify_fixture
+from conftest import commuting_pair
 
 
 def test_corpus_has_all_documented_cases():
@@ -57,3 +58,24 @@ def test_plane_fixture_searches_are_proved_empty():
     report = verify_fixture(by_key["quartet-nonspanning"], seeds=(0,), restarts=20)
     searches = [c for c in report.checks if "search is empty" in c.name]
     assert [c.detail for c in searches] == ["attempts 20 of 20"]
+
+
+@pytest.mark.parametrize("s", [1.0, 1e8, 1e16])
+def test_commuting_pair_fails_the_independence_check(s):
+    # {A, B} = 0, so the computed bracket is rounding noise.  Its span rank
+    # scales that noise to unit norm and called the triple independent at
+    # every s; the verdict path calls it dependent.
+    a, b = commuting_pair(17, np.random.default_rng(0xC0))
+    fixture = FormFixture(
+        key="commuting-d17",
+        description="Poisson-commuting pair under a scaled canonical pairing",
+        a=SymmetricForm(a),
+        b=SymmetricForm(b),
+        structure=SymplecticStructure(s * SymplecticStructure.canonical(34).J),
+        witness_modes=(),
+    )
+    checks = {c.name: c for c in verify_fixture(fixture).checks}
+    independence = checks["A, B and the third form are linearly independent"]
+    assert not independence.passed
+    assert independence.detail == "verdict condition (b): False"
+    assert checks["pair is non-dissipative"].passed

@@ -30,6 +30,7 @@ from localsolv import (
     VerdictOutcome,
     heisenberg_verdict,
     point_symbol_verdict,
+    poisson_bracket,
     trace_certificate,
     two_step_verdict,
 )
@@ -188,12 +189,12 @@ def scaled_two_step(s):
             "J_list": [(s * SymplecticStructure.canonical(34).J).tolist()]}
 
 
-def scaled_point(s):
+def scaled_point(s, keep_ambient=True):
     """Point data T = L^-1 E (E keeps 34 of 36 coordinates, a symplectic
     subset) with forms L^t A0 L, A0 and B0 on the position block: they commute
-    under the reduced pairing L^t J L.  T is scaled by s and the forms by
-    1 / s^2, so the ambient forms T^t A T stay as they are and only the
-    reduced pairing changes scale."""
+    under the reduced pairing L^t J L.  T is scaled by s.  With `keep_ambient`
+    the forms are scaled by 1 / s^2, so the ambient forms T^t A T stay as they
+    are and only the reduced pairing changes scale."""
     d = 17
     rng = np.random.default_rng(0xC1)
     a0, b0 = np.zeros((2 * d, 2 * d)), np.zeros((2 * d, 2 * d))
@@ -201,8 +202,14 @@ def scaled_point(s):
     b0[:d, :d] = random_traceless_form(d, rng).matrix
     ell = haar_congruence(2 * d, rng)
     t = np.linalg.solve(ell, position_embedding(d))
-    a, b = (ell.T @ f @ ell / s**2 for f in (a0, b0))
+    a, b = (ell.T @ f @ ell / (s**2 if keep_ambient else 1.0) for f in (a0, b0))
     return {"n": d + 1, "m": 2 * d, "T": (s * t).tolist(), "A_re": a.tolist(), "A_im": b.tolist()}
+
+
+def point_spec(p):
+    return PointSymbolSpec(
+        p["n"], p["m"], np.array(p["T"]), SymmetricForm(p["A_re"]), SymmetricForm(p["A_im"])
+    )
 
 
 def assert_commuting_verdict(verdict):
@@ -225,11 +232,41 @@ def test_scaled_commutator_matrix_keeps_condition_b_false(s):
 @pytest.mark.parametrize("s", [1e-5, 1.0, 1e3, 1e5, 1e6, 1e8])
 def test_scaled_point_map_keeps_condition_b_false(s):
     # s = 1e5 and 1e6 gave NOT_LOCALLY_SOLVABLE with condition (b) true
-    p = scaled_point(s)
-    spec = PointSymbolSpec(
-        p["n"], p["m"], np.array(p["T"]), SymmetricForm(p["A_re"]), SymmetricForm(p["A_im"])
-    )
-    assert_commuting_verdict(point_symbol_verdict(spec))
+    assert_commuting_verdict(point_symbol_verdict(point_spec(scaled_point(s))))
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e2, 1e3, 1e5, 1e8])
+def test_point_map_scaled_alone_passes_the_pullback_check(s):
+    # with the forms left as they are, T x 100 and up raised ConsistencyError:
+    # the bracket pullback was compared with tol max(|C|_F, 1), and a
+    # commuting pair's C is rounding noise
+    assert_commuting_verdict(point_symbol_verdict(point_spec(scaled_point(s, keep_ambient=False))))
+
+
+def test_perturbed_pullback_still_raises(monkeypatch):
+    # the ambient bracket off by 1e-6 of its scale 4 |A_big|_F |B_big|_F
+    from localsolv import checker
+    from localsolv.errors import ConsistencyError
+
+    def perturbed(a, b, structure):
+        c = poisson_bracket(a, b, structure)
+        if a.dim == 36:
+            c = SymmetricForm(c.matrix + 4e-6 * a.frobenius() * b.frobenius() * np.eye(36))
+        return c
+
+    monkeypatch.setattr(checker, "poisson_bracket", perturbed)
+    with pytest.raises(ConsistencyError, match="bracket pullback"):
+        point_symbol_verdict(point_spec(scaled_point(1e3, keep_ambient=False)))
+
+
+def test_point_map_scaled_alone_through_the_cli(tmp_path, capsys):
+    # `localsolv check-point` exited 3 at T x 1e3 ("bracket pullback residual
+    # 6.831e-02 exceeds 1.061e-09")
+    payload = scaled_point(1e3, keep_ambient=False)
+    code, result = cli_report(tmp_path, capsys, "check-point", payload)
+    assert code == 0
+    assert result["outcome"] == "INCONCLUSIVE"
+    assert result["condition_b"] is False
 
 
 @pytest.mark.parametrize("command, payload", [

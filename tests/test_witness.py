@@ -503,6 +503,24 @@ def test_transversality_witness_is_scale_invariant(sa, sb):
     )
 
 
+@pytest.mark.parametrize("scale", [1e50, 1e100, 1e150, 1e160, 1e170, 1e200])
+def test_bracket_witness_is_invariant_under_scaling_c(scale):
+    # the threshold 1e-6 ||C||_F overflowed to inf from C x 1e160 on, and the
+    # search came back EXHAUSTED; it now climbs and accepts on the unit C
+    a, b = traceless_pair(6, np.random.default_rng(5))
+    c = poisson_bracket(a, b, SymplecticStructure.canonical(6))
+    base = bracket_witness(a, b, c, restarts=10, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = bracket_witness(a, b, SymmetricForm(scale * c.matrix), restarts=10, seed=1)
+    assert base.status is scaled.status is SearchStatus.FOUND
+    assert base.attempts == scaled.attempts == 1
+    z = scaled.witness.point
+    assert np.allclose(z, base.witness.point, atol=1e-8)
+    assert scaled.witness.margin / scale == pytest.approx(base.witness.margin, rel=1e-9)
+    assert base.witness.margin == pytest.approx(abs(float(z @ c.matrix @ z)), rel=1e-9)
+
+
 def test_found_search_has_found_status(rng):
     a, b = traceless_pair(6, rng)
     search = transversality_witness(a, b)
