@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import frob, numerical_rank, nullspace, rng_for, skew_part, sym_part
+from ._numeric import frob, numerical_rank, nullspace, rng_for
 from .errors import ConsistencyError, DegeneratePairingError, GradingError, MuSearchError
 from .forms import (
     Subspace,
@@ -32,6 +32,7 @@ from .forms import (
     is_symplectic_subspace,
     joint_radical,
     poisson_bracket,
+    skew_matrix,
 )
 from .witness import Branch, HypothesisReport, hypothesis_report
 
@@ -107,10 +108,8 @@ class TwoStepGroupSpec:
         for i, j in enumerate(self.j_list):
             j = np.array(j, dtype=float)
             if j.shape != (self.m, self.m):
-                raise ValueError(f"J[{i}] must be {self.m}x{self.m}, got {j.shape}")
-            if frob(sym_part(j)) > 1e-9 * max(frob(j), 1.0):
-                raise ValueError(f"J[{i}] is not skew-symmetric")
-            j = skew_part(j)
+                raise ValueError(f"J_list[{i}] must be {self.m}x{self.m}, got {j.shape}")
+            j = skew_matrix(j, f"J_list[{i}]")
             j.flags.writeable = False
             mats.append(j)
         if not mats:
@@ -167,11 +166,13 @@ class StructureConstants:
         c = np.array(self.c, dtype=float)
         if c.shape != (self.n_basis, self.n_basis, self.n_basis):
             raise ValueError(f"constants must have shape {(self.n_basis,) * 3}, got {c.shape}")
-        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-10 * max(1.0, float(np.max(np.abs(c)))):
+        # cuts relative to max|c| alone: at every scale of c a defect fails
+        top = float(np.max(np.abs(c)))
+        if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-10 * top:
             raise ValueError("structure constants are not antisymmetric")
         jac = np.einsum("ijm,mkl->ijkl", c, c)
         residual = jac + np.transpose(jac, (1, 2, 0, 3)) + np.transpose(jac, (2, 0, 1, 3))
-        if np.max(np.abs(residual)) > 1e-10 * max(1.0, float(np.max(np.abs(c))) ** 2 * self.n_basis):
+        if np.max(np.abs(residual)) > 1e-10 * top**2 * self.n_basis:
             raise ValueError("structure constants violate the Jacobi identity")
         c.flags.writeable = False
         object.__setattr__(self, "c", c)
@@ -222,38 +223,28 @@ def heisenberg_verdict(spec: HeisenbergOperatorSpec, seed: int = 42) -> Verdict:
     return _assemble(hyp, notes, mu0=(1.0,))
 
 
-def _search_mu(spec: TwoStepGroupSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Find mu with sum(mu_i J_i) non-degenerate; axes first, then random."""
-    ell, m = spec.ell, spec.m
+def _search_mu(spec: TwoStepGroupSpec, seed: int) -> tuple[np.ndarray, SymplecticStructure]:
+    """Find mu with sum(mu_i J_i) non-degenerate, and the pairing it induces:
+    mu0 if given, else the axes first, then seeded random unit vectors."""
 
-    def combined(mu: np.ndarray) -> np.ndarray:
-        return sum(float(c) * j for c, j in zip(mu, spec.j_list))
+    def draws():
+        yield from np.eye(spec.ell)
+        rng = rng_for(seed, 0x2507)
+        for _ in range(_MU_BUDGET):
+            mu = rng.standard_normal(spec.ell)
+            norm = float(np.linalg.norm(mu))
+            if norm != 0.0:
+                yield mu / norm
 
-    def nondegenerate(j_mu: np.ndarray) -> bool:
-        return numerical_rank(j_mu) == m
-
-    if spec.mu0 is not None:
-        mu = np.asarray(spec.mu0, dtype=float)
-        j_mu = combined(mu)
-        if not nondegenerate(j_mu):
-            raise MuSearchError("supplied mu0 yields a degenerate commutator matrix")
-        return mu, j_mu
-    for axis in range(ell):
-        mu = np.zeros(ell)
-        mu[axis] = 1.0
-        j_mu = combined(mu)
-        if nondegenerate(j_mu):
-            return mu, j_mu
-    rng = rng_for(seed, 0x2507)
-    for _ in range(_MU_BUDGET):
-        mu = rng.standard_normal(ell)
-        norm = float(np.linalg.norm(mu))
-        if norm == 0.0:
-            continue
-        mu /= norm
-        j_mu = combined(mu)
-        if nondegenerate(j_mu):
-            return mu, j_mu
+    supplied = spec.mu0 is not None
+    for mu in [np.asarray(spec.mu0, dtype=float)] if supplied else draws():
+        j_mu = sum(float(c) * j for c, j in zip(mu, spec.j_list))
+        try:
+            return mu, SymplecticStructure.from_bracket_matrix(j_mu)
+        except DegeneratePairingError:
+            pass
+    if supplied:
+        raise MuSearchError("supplied mu0 yields a degenerate commutator matrix")
     raise MuSearchError(
         "no direction with a non-degenerate combined commutator matrix found in "
         f"{_MU_BUDGET} draws"
@@ -267,8 +258,7 @@ def two_step_verdict(spec: TwoStepGroupSpec, seed: int = 42) -> Verdict:
     seeded unit Gaussians); the radical test and the bracket both use the
     pairing induced by the combined commutator matrix at the found direction.
     """
-    mu, j_mu = _search_mu(spec, seed)
-    structure = SymplecticStructure.from_bracket_matrix(j_mu)
+    mu, structure = _search_mu(spec, seed)
     hyp = hypothesis_report(spec.a_re, spec.a_im, structure, seed=seed)
     notes = [
         "conditions evaluated on the generator space with the pairing induced "
@@ -302,12 +292,8 @@ def point_symbol_verdict(spec: PointSymbolSpec, seed: int = 42) -> Verdict:
     ambient = SymplecticStructure.canonical(n2)
     j2n = ambient.J
     j_z = t @ j2n @ t.T
-    s = np.linalg.svd(j_z, compute_uv=False)
-    if numerical_rank(j_z) < spec.m:
-        raise DegeneratePairingError(
-            "reduced skew matrix T J T^t is degenerate; this route does not apply"
-        )
     reduced = SymplecticStructure.from_bracket_matrix(j_z)
+    s = np.linalg.svd(j_z, compute_uv=False)
 
     a_big = SymmetricForm(2.0 * congruence(spec.a_re, t).matrix)
     b_big = SymmetricForm(2.0 * congruence(spec.a_im, t).matrix)
@@ -379,7 +365,7 @@ def step_reduction(
     grading = constants.grading
     c = constants.c
     n = constants.n_basis
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(c))))
+    tol = 1e-12 * float(np.max(np.abs(c)))
     layer = np.asarray(grading)
     wrong = (np.abs(c) > tol) & (layer != layer[:, None, None] + layer[None, :, None])
     if wrong.any():

@@ -222,12 +222,8 @@ def _load_forms(payload: dict, warnings: list[str]):
     c = _form_from(payload, "C", n, warnings) if "C" in payload else None
     structure = None
     if "J" in payload:
-        j = _as_matrix(payload["J"], n, n, "J")
-        skewness = float(np.max(np.abs(j + j.T)))
-        if skewness > 1e-9 * max(1.0, float(np.max(np.abs(j)))):
-            warnings.append(f"J: antisymmetrized on load (defect {skewness:.3e})")
         try:
-            structure = SymplecticStructure(0.5 * (j - j.T))
+            structure = SymplecticStructure(_as_matrix(payload["J"], n, n, "J"))
         except ValueError as exc:
             raise InputError(f"J: {exc}") from exc
     return n, a, b, c, structure
@@ -259,13 +255,7 @@ def _load_two_step(payload: dict, warnings: list[str]) -> TwoStepGroupSpec:
     j_raw = _require(payload, "J_list")
     if not isinstance(j_raw, list) or not j_raw:
         raise InputError("J_list: expected a non-empty list of matrices")
-    j_list = []
-    for i, item in enumerate(j_raw):
-        j = _as_matrix(item, m, m, f"J_list[{i}]")
-        skewness = float(np.max(np.abs(j + j.T)))
-        if skewness > 1e-9 * max(1.0, float(np.max(np.abs(j)))):
-            raise InputError(f"J_list[{i}]: matrix is not skew-symmetric")
-        j_list.append(j)
+    j_list = [_as_matrix(item, m, m, f"J_list[{i}]") for i, item in enumerate(j_raw)]
     mu0 = None
     if "mu0" in payload and payload["mu0"] is not None:
         raw = payload["mu0"]
@@ -437,7 +427,7 @@ def _cmd_dissipativity(args, payload, warnings):
         "extreme_min_eig": verdict.extreme_min_eig,
         "certificate_status": outcome.status.value,
         "certificate": None,
-        "dissipative_theta": outcome.dissipative_theta,
+        "dissipative_theta": verdict.theta,
     }
     if outcome.found:
         cert = outcome.certificate
@@ -505,7 +495,7 @@ def _cmd_check_point(args, payload, warnings):
     try:
         verdict = point_symbol_verdict(spec, seed=args.seed)
     except DegeneratePairingError as exc:
-        raise InputError(f"T: {exc}") from exc
+        raise InputError(f"T: the reduced pairing T J T^t: {exc}") from exc
     return _verdict_payload(verdict), _EXIT_OK
 
 

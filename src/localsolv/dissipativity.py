@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._numeric import CERT_REL, EIG_REL, frob, golden_section_minimize
-from .forms import SymmetricForm, span_rank
+from .forms import SymmetricForm
 from .pencil import UnitPair, _element, unit_pair
 
 __all__ = [
@@ -81,8 +81,6 @@ class DissipativityVerdict:
     kind: Dissipativity
     theta: float | None
     extreme_min_eig: float
-    witness_min_eig: float | None = None
-    witness_norm: float | None = None
 
     @property
     def non_dissipative(self) -> bool:
@@ -107,11 +105,10 @@ class TraceCertificate:
 @dataclass(frozen=True)
 class CertificateOutcome:
     status: CertificateStatus
-    certificate: TraceCertificate | None = None
-    dissipative_theta: float | None = None
-    iterations: int = 0
     # The dissipativity decision, whose support search built the certificate.
-    verdict: DissipativityVerdict | None = None
+    verdict: DissipativityVerdict
+    certificate: TraceCertificate | None = None
+    iterations: int = 0
 
     @property
     def found(self) -> bool:
@@ -119,11 +116,9 @@ class CertificateOutcome:
 
 
 def _dissipative(pair: UnitPair, phi: float, extreme: float) -> DissipativityVerdict:
-    """DISSIPATIVE at the unit angle phi, reported at the caller's angle and scale."""
-    m = pair.element(phi)
+    """DISSIPATIVE at the unit angle phi, reported at the caller's angle."""
     theta = pair.theta(phi) % (2.0 * math.pi)
-    values = (pair.value(theta, x) for x in (float(np.linalg.eigvalsh(m)[0]), frob(m)))
-    return DissipativityVerdict(Dissipativity.DISSIPATIVE, theta, extreme, *values)
+    return DissipativityVerdict(Dissipativity.DISSIPATIVE, theta, extreme)
 
 
 def _dependent_span_verdict(pair: UnitPair) -> DissipativityVerdict:
@@ -343,7 +338,7 @@ def _support_decision(
     if proved:
         return verdict, p, arc, calls
     # The unit pair as its own caller: its value and angle are read unmapped.
-    value, phi = _max_min_eig(unit_pair(a, b), arc)
+    value, phi = _max_min_eig(pair._replace(ra=1.0, rb=1.0, e=0), arc)
     if value >= -EIG_REL:
         return _dissipative(pair, phi, pair.value(pair.theta(phi), value)), None, arc, calls
     return verdict, p, arc, calls
@@ -365,10 +360,9 @@ def _decision(
     without the `_max_min_eig` diagnostic), the candidate P of a
     non-dissipative pair or None, the unit arc of `_support_decision` (None
     for a one-line span) and the `eigh` calls spent."""
-    rank = span_rank(pair.a, pair.b)
-    if rank == 0:
+    if pair.span == 0:
         raise ValueError("both forms vanish; the pair is undefined")
-    if rank == 2:
+    if pair.span == 2:
         return _support_decision(pair)
     verdict = _dependent_span_verdict(pair)
     if not verdict.non_dissipative:
@@ -412,10 +406,7 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
     if arc is not None:
         verdict = replace(verdict, extreme_min_eig=_max_min_eig(pair, arc)[0])
     if not verdict.non_dissipative:
-        return CertificateOutcome(
-            CertificateStatus.INFEASIBLE, dissipative_theta=verdict.theta, iterations=calls,
-            verdict=verdict,
-        )
+        return CertificateOutcome(CertificateStatus.INFEASIBLE, verdict, iterations=calls)
     if p is not None:
         w, vecs = np.linalg.eigh(p)
         residuals = [abs(float(np.tensordot(p, f.matrix))) for f in (pair.a, pair.b)]
@@ -423,9 +414,5 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
             q = (vecs * np.sqrt(w)) @ vecs.T
             residual_a, residual_b = pair.scaled(*residuals)
             certificate = TraceCertificate(q, residual_a, residual_b, float(np.sqrt(w[0])))
-            return CertificateOutcome(
-                CertificateStatus.FOUND, certificate, iterations=calls, verdict=verdict
-            )
-    return CertificateOutcome(
-        CertificateStatus.NUMERICAL_INCONCLUSIVE, iterations=calls, verdict=verdict
-    )
+            return CertificateOutcome(CertificateStatus.FOUND, verdict, certificate, calls)
+    return CertificateOutcome(CertificateStatus.NUMERICAL_INCONCLUSIVE, verdict, iterations=calls)

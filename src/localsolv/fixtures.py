@@ -88,9 +88,9 @@ def _plane_rotated() -> FormFixture:
     )
 
 
-def _plane_sheared(eps: float = 0.5) -> FormFixture:
+def _plane_sheared() -> FormFixture:
     a = SymmetricForm(np.diag([1.0, -1.0]))
-    b = SymmetricForm([[1.0, -eps], [-eps, -1.0]])
+    b = SymmetricForm([[1.0, -0.5], [-0.5, -1.0]])
     return FormFixture(
         key="plane-sheared",
         description=(
@@ -134,7 +134,8 @@ def _quartet_nonspanning() -> FormFixture:
     )
 
 
-def _isotropic_radical(d: int = 5) -> FormFixture:
+def _isotropic_radical() -> FormFixture:
+    d = 5
     n = 2 * d
     diag = np.zeros(n)
     diag[0] = 1.0
@@ -164,7 +165,8 @@ def _isotropic_radical(d: int = 5) -> FormFixture:
     )
 
 
-def _picked_c(d: int = 5, widened: bool = False) -> FormFixture:
+def _picked_c(widened: bool) -> FormFixture:
+    d = 5
     n = 2 * d
     diag = np.zeros(n)
     diag[0] = 1.0

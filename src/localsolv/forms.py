@@ -37,6 +37,7 @@ from ._numeric import (
     sym_part,
     skew_part,
 )
+from .errors import DegeneratePairingError
 
 __all__ = [
     "SymmetricForm",
@@ -52,6 +53,10 @@ __all__ = [
     "congruence",
     "span_rank",
 ]
+
+# A pairing matrix M is skew when |sym(M)|_F <= SKEW_REL |M|_F: relative to
+# its own scale, so rounding passes at every scale and a defect at none.
+SKEW_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,24 +124,19 @@ class SymmetricForm:
 class SymplecticStructure:
     """Non-degenerate skew pairing on an even-dimensional real space.
 
-    `sigma_min` is the smallest singular value of J, 1 / |J^-1|_2."""
+    J must pass `skew_matrix`, and its rank cut (`DegeneratePairingError`
+    otherwise).  `sigma_min` is the smallest singular value of J, 1 / |J^-1|_2."""
 
     J: np.ndarray
     sigma_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        j = np.array(self.J, dtype=float)
-        if j.ndim != 2 or j.shape[0] != j.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {j.shape}")
+        j = skew_matrix(self.J, "pairing matrix")
         if j.shape[0] % 2 != 0:
             raise ValueError(f"skew pairing needs even dimension, got {j.shape[0]}")
-        asymmetry = frob(sym_part(j))
-        if asymmetry > 1e-9 * max(frob(j), 1.0):
-            raise ValueError("pairing matrix is not skew-symmetric")
-        j = skew_part(j)
         s = np.linalg.svd(j, compute_uv=False)
         if j.shape[0] > 0 and s[-1] <= rank_tolerance(s, j.shape):
-            raise ValueError("pairing matrix is degenerate")
+            raise DegeneratePairingError("pairing matrix is degenerate")
         j.flags.writeable = False
         object.__setattr__(self, "J", j)
         object.__setattr__(self, "sigma_min", float(s[-1]) if s.size else 1.0)
@@ -159,19 +159,17 @@ class SymplecticStructure:
     def from_bracket_matrix(commutators: np.ndarray) -> "SymplecticStructure":
         """Structure induced by a non-degenerate skew matrix of pairwise brackets.
 
-        The canonical matrix is a fixed point of this map, so pullback
-        identities relating a base space and a quotient hold with the same
-        sign convention on both sides.
+        The matrix must pass `skew_matrix`, and its rank cut
+        (`DegeneratePairingError` otherwise).  The canonical matrix is a fixed
+        point of this map, so pullback identities relating a base space and a
+        quotient hold with the same sign convention on both sides.
         """
-        k = np.asarray(commutators, dtype=float)
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {k.shape}")
-        if frob(sym_part(k)) > 1e-9 * max(frob(k), 1.0):
-            raise ValueError("bracket matrix is not skew-symmetric")
+        k = skew_matrix(commutators, "bracket matrix")
         s = np.linalg.svd(k, compute_uv=False)
         if k.shape[0] == 0 or s[-1] <= rank_tolerance(s, k.shape):
-            raise ValueError("bracket matrix is degenerate")
-        return SymplecticStructure(-np.linalg.inv(skew_part(k)))
+            raise DegeneratePairingError("bracket matrix is degenerate")
+        # the inverse of a skew matrix is skew; its rounding is no input defect
+        return SymplecticStructure(skew_part(-np.linalg.inv(k)))
 
     def omega(self, u, v) -> float:
         u = np.asarray(u, dtype=float)
@@ -340,6 +338,19 @@ def congruence(form: SymmetricForm, t: np.ndarray) -> SymmetricForm:
             f"transform must have {form.dim} rows, got shape {t.shape}"
         )
     return SymmetricForm(t.T @ form.matrix @ t)
+
+
+def skew_matrix(matrix, name: str) -> np.ndarray:
+    """The skew part of a square matrix that is skew at its own scale,
+    |sym(M)|_F <= SKEW_REL |M|_F.  Any other matrix is an input error, a
+    ValueError that `name` heads; it is never antisymmetrized."""
+    m = np.array(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name}: expected a square matrix, got shape {m.shape}")
+    defect, norm = frob(sym_part(m)), frob(m)
+    if defect > SKEW_REL * norm:
+        raise ValueError(f"{name} is not skew-symmetric (|sym|_F {defect:.3e}, |M|_F {norm:.3e})")
+    return skew_part(m)
 
 
 def span_rank(*forms: SymmetricForm) -> int:

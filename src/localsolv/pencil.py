@@ -76,13 +76,16 @@ class UnitPair(NamedTuple):
     """The unit-Frobenius pair (A^, B^) of a caller's pair (A, B), with
     |A|_F = ra 2**e and |B|_F = rb 2**e.  A zero form takes the other's norm
     (its unit form is zero, so any norm gives the same pencil).  Equal norms
-    make the maps the identity, so a unit pair is its own."""
+    make the maps the identity, so a unit pair is its own, and
+    `_replace(ra=1.0, rb=1.0, e=0)` makes it its own caller.  `span` is the
+    dimension 0, 1 or 2 of the span of A and B (`span_rank`)."""
 
     a: SymmetricForm
     b: SymmetricForm
     ra: float
     rb: float
     e: int
+    span: int
 
     def element(self, phi: float) -> np.ndarray:
         return _element(self.a, self.b, phi)
@@ -119,7 +122,8 @@ def unit_pair(a: SymmetricForm, b: SymmetricForm) -> UnitPair:
     if mb == 0.0:
         mb, eb = ma, ea
     e = max(ea, eb)
-    return UnitPair(a.normalized(), b.normalized(), math.ldexp(ma, ea - e), math.ldexp(mb, eb - e), e)
+    ua, ub = a.normalized(), b.normalized()
+    return UnitPair(ua, ub, math.ldexp(ma, ea - e), math.ldexp(mb, eb - e), e, span_rank(ua, ub))
 
 
 def pencil_element(a: SymmetricForm, b: SymmetricForm, theta: float) -> SymmetricForm:
@@ -154,8 +158,6 @@ def _probe(
     The generic rank is read at a random direction and confirmed on eight
     more; the generic angle is the first probe that reaches it.
     """
-    if span_rank(a, b) < 2:
-        raise DependentPairError("forms are linearly dependent")
     phis = rng_for(seed, 0x9EC1).uniform(0.0, 2.0 * math.pi, size=9)
     spectra = [_spectrum(a, b, float(t)) for t in phis]
     ranks = [_rank(s) for s in spectra]
@@ -205,6 +207,8 @@ def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilRe
     is the caller's.
     """
     pair = unit_pair(a, b)
+    if pair.span < 2:
+        raise DependentPairError("forms are linearly dependent")
     a, b = pair.a, pair.b
     maxrank, generic_phi, spectrum, notes = _probe(a, b, seed)
     marginal = [pair.theta(generic_phi) % (2.0 * math.pi)] if _marginal(spectrum, maxrank) else []

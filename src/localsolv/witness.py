@@ -43,7 +43,6 @@ from .forms import (
     joint_radical,
     is_symplectic_subspace,
     poisson_bracket,
-    span_rank,
 )
 from .pencil import rank_profile, unit_pair
 
@@ -396,24 +395,19 @@ def _project_rows(
     return out, ok
 
 
-def project_to_joint_zero(
-    a: SymmetricForm,
-    b: SymmetricForm,
-    z0: np.ndarray,
-    max_iterations: int = _MAX_NEWTON_ITERATIONS,
-    tol: float = ZERO_TOL,
-) -> np.ndarray | None:
+def project_to_joint_zero(a: SymmetricForm, b: SymmetricForm, z0: np.ndarray) -> np.ndarray | None:
     """Project a point onto the unit-sphere slice of {Q_A = 0} n {Q_B = 0}.
 
     Each step solves the 2 x n linearization by least norm and re-normalizes,
     halving the step while the squared residual fails to decrease; where the
     Jacobian loses rank the step falls back to gradient descent on
-    Q_A^2 + Q_B^2.  Returns None when the budget runs out.
+    Q_A^2 + Q_B^2.  Returns None when `_MAX_NEWTON_ITERATIONS` steps leave
+    a residual above ZERO_TOL.
     """
     if a.dim != b.dim:
         raise ValueError("forms have mismatched dimensions")
     z = unit_vector(np.asarray(z0, dtype=float))
-    points, ok = _project_rows(_stacked(a, b), z[None, :], max_iterations, tol)
+    points, ok = _project_rows(_stacked(a, b), z[None, :])
     return points[0] if ok[0] else None
 
 
@@ -473,13 +467,13 @@ def zero_set_gap(a: SymmetricForm, b: SymmetricForm) -> float:
     max(0, delta) is its exact distance from 0, which is positive exactly
     when the joint zero set is {0} (Calabi 1964).
     """
-    an, bn, *_ = unit_pair(a, b)
+    pair = unit_pair(a, b)
     if a.dim == 2:
-        return _plane_gap(an.matrix, bn.matrix)
-    if span_rank(an, bn) == 0:
+        return _plane_gap(pair.a.matrix, pair.b.matrix)
+    if pair.span == 0:
         return 0.0
     # The unit pair as its own caller: every angle and value map is the identity.
-    pair = unit_pair(an, bn)
+    pair = pair._replace(ra=1.0, rb=1.0, e=0)
     verdict, _, arc, _ = _decision(pair)
     if verdict.non_dissipative:
         return 0.0
@@ -650,13 +644,11 @@ def hypothesis_report(
     pair = unit_pair(a, b)
     if a.dim != structure.two_d:
         raise ValueError("forms do not match the pairing dimension")
+    verdict = _decision(pair)[0]
     a, b = pair.a, pair.b
     notes: list[str] = []
-    pair_rank = span_rank(a, b)
-    if pair_rank == 0:
-        raise ValueError("both forms vanish")
 
-    if pair_rank < 2:
+    if pair.span < 2:
         minrank = maxrank = pair.generator().rank()
         independent = False
         notes.append("pencil is one-dimensional; ranks taken from its generator")
@@ -670,7 +662,6 @@ def hypothesis_report(
         c = structure.sigma_min * poisson_bracket(a, b, structure).matrix
         stack = np.column_stack([a.matrix.ravel(), b.matrix.ravel(), c.ravel()])
         independent = numerical_rank(stack) == 3
-    verdict = _decision(pair)[0]
 
     radical = joint_radical(a, b)
     status = radical_status(radical, structure)

@@ -24,6 +24,7 @@ from localsolv import (
     HeisenbergOperatorSpec,
     PointSymbolSpec,
     RadicalStatus,
+    StructureConstants,
     SymmetricForm,
     SymplecticStructure,
     TwoStepGroupSpec,
@@ -31,9 +32,11 @@ from localsolv import (
     heisenberg_verdict,
     point_symbol_verdict,
     poisson_bracket,
+    step_reduction,
     trace_certificate,
     two_step_verdict,
 )
+from localsolv.errors import DegeneratePairingError, GradingError
 from localsolv.cli import main
 from conftest import (
     branch_one_instance,
@@ -278,6 +281,103 @@ def test_scaled_pairing_through_the_cli(tmp_path, capsys, command, payload):
     assert code == 0
     assert result["outcome"] == "INCONCLUSIVE"
     assert result["condition_b"] is False
+
+
+# ---------------------------------------------------------------------------
+# input defects are decided at the input's own scale: no scale passes one
+
+DEFECT_SCALES = [1.0, 1e-9, 1e-12]
+
+
+def one_third_symmetric(s):
+    """s (J_can + I/2) on R^4: its symmetric part is a third of its norm."""
+    return s * (SymplecticStructure.canonical(4).J + 0.5 * np.eye(4))
+
+
+@pytest.mark.parametrize("s", DEFECT_SCALES)
+def test_non_skew_pairing_rejected_at_every_scale(s):
+    # at s = 1e-9 and 1e-12 all three accepted it: the cut had a floor of 1e-9
+    j = one_third_symmetric(s)
+    forms = SymmetricForm(np.eye(4)), SymmetricForm(np.diag([1.0, -1.0, 1.0, -1.0]))
+    for build in (
+        lambda: SymplecticStructure(j),
+        lambda: SymplecticStructure.from_bracket_matrix(j),
+        lambda: TwoStepGroupSpec(4, (j,), *forms),
+    ):
+        with pytest.raises(ValueError, match="not skew-symmetric"):
+            build()
+
+
+@pytest.mark.parametrize("s", DEFECT_SCALES)
+def test_degenerate_pairing_raises_its_own_error(s):
+    # a plain ValueError before; rank 2 on R^4 at every scale
+    j = np.zeros((4, 4))
+    j[0, 1], j[1, 0] = s, -s
+    for build in (SymplecticStructure, SymplecticStructure.from_bracket_matrix):
+        with pytest.raises(DegeneratePairingError, match="degenerate"):
+            build(j)
+
+
+@pytest.mark.parametrize("s", DEFECT_SCALES)
+@pytest.mark.parametrize("argv, field", [
+    (["check-2step"], "J_list[0]"),
+    (["witness", "--mode", "bracket", "--restarts", "2"], "J"),
+    (["bracket"], "J"),
+], ids=["check-2step", "witness", "bracket"])
+def test_non_skew_pairing_is_an_input_error_at_every_scale(tmp_path, capsys, s, argv, field):
+    # check-2step exited 0 at s = 1e-9 and 1e-12; witness and bracket exited 0
+    # at every s, having antisymmetrized J with a warning
+    j = one_third_symmetric(s).tolist()
+    a, b = np.eye(4).tolist(), np.diag([1.0, -1.0, 1.0, -1.0]).tolist()
+    payload = (
+        {"m": 4, "A_re": a, "A_im": b, "J_list": [j]}
+        if argv[0] == "check-2step"
+        else {"n": 4, "A": a, "B": b, "J": j}
+    )
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {field}") and "not skew-symmetric" in err
+
+
+def heisenberg_constants(f, defect):
+    """[X, Y] = Z on (X, Y, Z), graded (1, 1, 2), times f, with one defect."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = f, -f
+    if defect == "antisymmetry":
+        c[1, 0, 2] = -0.5 * f
+    elif defect == "grading":
+        c[0, 1, 0], c[1, 0, 0] = 0.5 * f, -0.5 * f  # [X, Y] = Z + X/2
+    return c
+
+
+@pytest.mark.parametrize("f", [1.0, 1e-6, 1e-12])
+def test_structure_constant_defects_at_every_scale(f):
+    # at f = 1e-12 both defects passed, and the grading one was dropped
+    forms = SymmetricForm(np.eye(2)), SymmetricForm(np.diag([1.0, -1.0]))
+    spec = step_reduction(StructureConstants(3, heisenberg_constants(f, None), (1, 1, 2)), *forms)
+    assert np.array_equal(spec.j_list[0], [[0.0, f], [-f, 0.0]])
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        StructureConstants(3, heisenberg_constants(f, "antisymmetry"), (1, 1, 2))
+    # with [X, Z] = X the Jacobi sum over X, Y, Z is [Y, [Z, X]] = Z
+    c = heisenberg_constants(f, None)
+    c[0, 2, 0], c[2, 0, 0] = f, -f
+    with pytest.raises(ValueError, match="Jacobi"):
+        StructureConstants(3, c, (1, 1, 2))
+    constants = StructureConstants(3, heisenberg_constants(f, "grading"), (1, 1, 2))
+    with pytest.raises(GradingError, match=r"bracket \[0,1\] hits basis vector 0"):
+        step_reduction(constants, *forms)
+
+
+@pytest.mark.parametrize("f", [1.0, 1e-6, 1e-12])
+def test_grading_defect_through_reduce_step(tmp_path, capsys, f):
+    # exited 0 at f = 1e-12, giving J_list [[0, 1e-12], [-1e-12, 0]]
+    lie = {"dim": 3, "grading": [1, 1, 2], "c": [[0, 1, 2, f], [0, 1, 0, 0.5 * f]]}
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps(lie))
+    assert main(["reduce-step", str(path)]) == 2
+    assert "the grading demands layer 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ a dense angular sample for n = 2 and never fires on a pair with a joint zero.
 """
 
 import functools
+import sys
 import warnings
 
 import numpy as np
@@ -30,6 +31,8 @@ from localsolv import (
     transversality_witness,
     zero_set_gap,
 )
+from localsolv import dissipativity, forms
+from localsolv.pencil import unit_pair
 from localsolv._numeric import BRACKET_REL, TRANS_REL, ZERO_TOL, golden_section_minimize, rng_for
 from localsolv.witness import (
     _gauss_newton_step,
@@ -257,6 +260,36 @@ def test_hypothesis_report_dependent_pair():
     assert not report.independent_abc
     assert report.branch is Branch.NONE
     assert report.minrank == report.maxrank == 2
+
+
+@pytest.fixture
+def span_rank_calls(monkeypatch):
+    """The list of `span_rank` calls, through every module that looks it up."""
+    calls, original = [], forms.span_rank
+
+    def counted(*args):
+        calls.append(len(args))
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("localsolv") and getattr(module, "span_rank", None) is original:
+            monkeypatch.setattr(module, "span_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dependent", [False, True], ids=["plane", "line"])
+def test_span_is_decided_once(span_rank_calls, dependent):
+    # a plane span took 3 calls: the report's own, the pencil probe's and
+    # condition (a)'s; the rank profile's unit pair now makes the second
+    a, b = quartet_pair()
+    if dependent:
+        b = SymmetricForm(-2.0 * a.matrix)
+    hypothesis_report(a, b, SymplecticStructure.canonical(4))
+    assert len(span_rank_calls) <= 2
+    pair = unit_pair(a, b)
+    span_rank_calls.clear()
+    dissipativity._decision(pair)
+    assert span_rank_calls == []
 
 
 def test_containment_probe_multiple_of_itself():
