@@ -21,7 +21,7 @@ print("largest smallest-eigenvalue over all directions:", verdict.extreme_min_ei
 # surround the origin, and the certificate below proves that no combination
 # is positive semidefinite.  The reported extreme above is a diagnostic: the
 # maximum over all directions of the smallest eigenvalue, polished from the
-# decision's best angle by golden section and shown to be the maximum by
+# decision's best angle by Newton steps and shown to be the maximum by
 # one level-set computation.  Here it is -1 at every angle, as a few show:
 for theta in np.linspace(0.0, np.pi, 6, endpoint=False):
     value = np.linalg.eigvalsh(pencil_element(a, b, theta).matrix)[0]

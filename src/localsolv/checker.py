@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import frob, numerical_rank, nullspace, rng_for
+from ._numeric import RANK_REL, frob, numerical_rank, nullspace, rng_for
 from .errors import ConsistencyError, DegeneratePairingError, GradingError, MuSearchError
 from .forms import (
     Subspace,
@@ -280,28 +280,35 @@ def point_symbol_verdict(spec: PointSymbolSpec, seed: int = 42) -> Verdict:
     """Verdict from point data, with every pullback identity re-verified.
 
     Builds the ambient-space forms by congruence with T, the reduced pairing
-    from the skew matrix T J T^t (rejected when degenerate), and checks: the
-    bracket computed on the reduced space pulls back to the ambient bracket;
-    R = J T^t (T J T^t)^{-1} is a right inverse of T; P = RT is a projector
-    compatible with the ambient pairing; pencil ranks agree between the two
-    spaces on random combinations; and the joint radical is symplectic on the
-    reduced space exactly when its preimage is in the ambient space.
+    from the skew matrix T J T^t (rejected when degenerate at the scale
+    |T|_2^2 it is computed at), and checks: the bracket computed on the
+    reduced space pulls back to the ambient bracket; R = J T^t (T J T^t)^{-1}
+    is a right inverse of T; P = RT is a projector compatible with the
+    ambient pairing; pencil ranks agree between the two spaces on random
+    combinations; and the joint radical is symplectic on the reduced space
+    exactly when its preimage is in the ambient space.
     """
     t = spec.t_matrix
     n2 = 2 * spec.n
     ambient = SymplecticStructure.canonical(n2)
     j2n = ambient.J
     j_z = t @ j2n @ t.T
-    reduced = SymplecticStructure.from_bracket_matrix(j_z)
+    # T J T^t is computed at the scale |T|_2^2 (|J|_2 = 1), so its rank is cut
+    # there: at its own scale, the rounding of a zero product has full rank
+    t_scale = float(np.linalg.norm(t, 2))
     s = np.linalg.svd(j_z, compute_uv=False)
+    if s[-1] <= RANK_REL * spec.m * t_scale**2:
+        raise DegeneratePairingError(
+            f"degenerate relative to |T|_2^2 (sigma_min {s[-1]:.3e}, |T|_2^2 {t_scale**2:.3e})"
+        )
+    reduced = SymplecticStructure.from_bracket_matrix(j_z)
 
     a_big = SymmetricForm(2.0 * congruence(spec.a_re, t).matrix)
     b_big = SymmetricForm(2.0 * congruence(spec.a_im, t).matrix)
 
     # Identity residuals grow with ||T||^2 / sigma_min(T J T^t); fold that
     # amplification into the acceptance tolerance.
-    t_scale = float(np.linalg.norm(t, 2))
-    amplification = max(1.0, t_scale**2 / max(float(s[-1]), 1e-300))
+    amplification = max(1.0, t_scale**2 / float(s[-1]))
     tol = _IDENTITY_TOL * amplification
 
     c_small = poisson_bracket(spec.a_re, spec.a_im, reduced)

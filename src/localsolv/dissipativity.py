@@ -15,7 +15,7 @@ Once the points surround the origin, a convex combination of their rank-one
 projectors plus a multiple of the identity is a P annihilating both traces,
 and a gate on lambda_min(P) proves that no element has lambda_min >= -EIG_REL.
 If neither comes, the maximum over the circle of the smallest eigenvalue
-(`_max_min_eig`: a golden-section polish, and a level-set check after
+(`_max_min_eig`: a safeguarded Newton polish, and a level-set check after
 Boyd-Balakrishnan 1990, as Higham-Tisseur-Van Dooren 2002 use it for the
 Crawford number) decides.  `is_non_dissipative` also reports that maximum
 as the diagnostic `extreme_min_eig`, and `trace_certificate` takes
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numeric import CERT_REL, EIG_REL, frob, golden_section_minimize
+from ._numeric import CERT_REL, EIG_REL, frob
 from .forms import SymmetricForm
 from .pencil import UnitPair, _element, unit_pair
 
@@ -51,10 +51,15 @@ __all__ = [
 
 # `eigh` calls the support search may spend.
 _SUPPORT_CALLS = 32
-# Golden-section steps of the polish in `_max_min_eig`: the bracket shrinks
-# by 0.618**48, about 1e-10.  A kink left short of its peak by more than
-# _LEVEL_REL is found again by the level-set round.
+# `eigh` calls a polish of `_max_min_eig` may spend.  A smooth peak takes a
+# few Newton steps; a kink is bisected down to _POLISH_WIDTH, and one left
+# short of its peak by more than _LEVEL_REL is found again by the level-set
+# round.
 _POLISH_STEPS = 48
+# The polish stops once the gain its Newton model predicts is at most this
+# much of |A|_F + |B|_F, or once its bracket is narrower than _POLISH_WIDTH.
+_POLISH_REL = 1e-16
+_POLISH_WIDTH = 1e-11 * math.pi
 # A level-set round of `_max_min_eig` continues only from a midpoint whose
 # smallest eigenvalue clears the value by this much of |A|_F + |B|_F.
 _LEVEL_REL = 1e-13
@@ -151,8 +156,13 @@ def _positive_definite(m: np.ndarray) -> bool:
     return True
 
 
-def _level_angles(a: SymmetricForm, b: SymmetricForm, c: float, theta: float) -> np.ndarray:
-    """The angles in [theta, theta + 2 pi) where c is an eigenvalue of M, sorted.
+def _level_arcs(
+    a: SymmetricForm, b: SymmetricForm, c: float, theta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(mids, lefts, rights, bounds): the arcs of the circle between
+    consecutive angles in [theta, theta + 2 pi) where c is an eigenvalue of
+    M, with their midpoints, and an upper bound on lambda_min(M) at each
+    midpoint.
 
     With t = tan((x - alpha) / 2), (1 + t^2)(M(x) - cI) is
     (P - cI) + 2tQ - t^2 (P + cI), P = M(alpha) and Q = M(alpha + pi/2).  In
@@ -163,6 +173,9 @@ def _level_angles(a: SymmetricForm, b: SymmetricForm, c: float, theta: float) ->
     eigenvalue at all three, which is taken to mean at every angle (as for
     the quartet, or a shared kernel with c = 0); then no smallest eigenvalue
     exceeds c.
+
+    The bound at x is the least Rayleigh quotient v_j.M(x).v_j =
+    cos(x - alpha) w_j + sin(x - alpha) (V^T Q V)_jj of the columns of V.
     """
     cut = EIG_REL * (frob(a.matrix) + frob(b.matrix))
     for alpha in theta + 0.5 * math.pi + np.arange(3.0):
@@ -170,7 +183,7 @@ def _level_angles(a: SymmetricForm, b: SymmetricForm, c: float, theta: float) ->
         if np.min(np.abs(w + c)) > cut:
             break
     else:
-        return np.empty(0)
+        return (np.empty(0),) * 4
     q = v.T @ _element(a, b, alpha + 0.5 * math.pi) @ v
     companion = np.block(
         [[2.0 * q / (w + c)[:, None], np.diag((w - c) / (w + c))], [np.eye(len(w)), np.zeros_like(q)]]
@@ -178,7 +191,49 @@ def _level_angles(a: SymmetricForm, b: SymmetricForm, c: float, theta: float) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         x = alpha + 2.0 * np.arctan(np.linalg.eigvals(companion).astype(complex))
     x = x.real[np.abs(x.imag) <= _LEVEL_IMAG]
-    return np.sort(theta + np.mod(x - theta, 2.0 * math.pi))
+    lefts = np.sort(theta + np.mod(x - theta, 2.0 * math.pi))
+    rights = np.append(lefts[1:], lefts[:1] + 2.0 * math.pi)
+    mids = 0.5 * (lefts + rights)
+    quotients = np.cos(mids - alpha)[:, None] * w + np.sin(mids - alpha)[:, None] * np.diag(q)
+    return mids, lefts, rights, np.min(quotients, axis=1)
+
+
+def _polish(a: SymmetricForm, b: SymmetricForm, lo: float, x: float, hi: float) -> tuple[float, float]:
+    """(lambda_min, angle) at the best angle evaluated by a safeguarded Newton
+    iteration on f'(x) = 0, f = lambda_min(M(x)), from x in (lo, hi).
+
+    One `eigh` of M(x) = V diag(w) V^T gives f = w_0 and, since M' is
+    M(x + pi/2) and M'' = -M, f' = v_0.M'.v_0 and f'' = -f + 2 sum over
+    j > 0 of (v_0.M'.v_j)^2 / (w_0 - w_j).  The sign of f' narrows the
+    bracket.  A step that leaves it, that does not halve the step before
+    last (`rtsafe` of Numerical Recipes), or that comes from f'' >= 0 or not
+    finite is a bisection of the bracket instead.  It stops when the Newton
+    model's gain f'^2 / (2 |f''|) is at most _POLISH_REL (|A|_F + |B|_F), when
+    the bracket is narrower than _POLISH_WIDTH, or after _POLISH_STEPS calls.
+    """
+    tol = _POLISH_REL * (frob(a.matrix) + frob(b.matrix))
+    best = (-math.inf, x)
+    before = last = hi - lo
+    for _ in range(_POLISH_STEPS):
+        w, v = np.linalg.eigh(_element(a, b, x))
+        best = max(best, (float(w[0]), x))
+        coupling = v.T @ (_element(a, b, x + 0.5 * math.pi) @ v[:, 0])
+        slope = float(coupling[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curve = float(2.0 * np.sum(coupling[1:] ** 2 / (w[0] - w[1:])) - w[0])
+        concave = math.isfinite(curve) and curve < 0.0
+        if (concave and slope * slope <= -2.0 * curve * tol) or hi - lo < _POLISH_WIDTH:
+            break
+        if slope > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -slope / curve if concave else math.inf
+        if not (lo < x + step < hi and 2.0 * abs(step) <= abs(before)):
+            step = lo + 0.5 * (hi - lo) - x
+        before, last = last, step
+        x += step
+    return best
 
 
 def _max_min_eig(pair: UnitPair, arc: tuple[float, float, float]) -> tuple[float, float]:
@@ -188,33 +243,32 @@ def _max_min_eig(pair: UnitPair, arc: tuple[float, float, float]) -> tuple[float
 
     It runs on the caller's pair divided by 2**e, (ra A^, rb B^), with phi
     and its arc mapped to the caller's angles, and scales the value back.
-    Step 1 polishes the start by golden section on its arc.  Step 2 shows
-    that the polished value c is the maximum, by the level-set argument of
-    Boyd and Balakrishnan (1990): lambda_min > c can hold only on arcs
-    between consecutive angles where c is an eigenvalue (`_level_angles`).
-    If no arc midpoint clears c + _LEVEL_REL (|A|_F + |B|_F), which one
-    Cholesky factorization tests, c is the maximum; otherwise step 1 repeats
-    from the best midpoint on its arc.  The value is lambda_min at the
-    returned angle, so it never exceeds the maximum.
+    Step 1 polishes the start on its arc (`_polish`).  Step 2 shows that the
+    polished value c is the maximum, by the level-set argument of Boyd and
+    Balakrishnan (1990): lambda_min > c can hold only on arcs between
+    consecutive angles where c is an eigenvalue (`_level_arcs`).  An arc
+    whose midpoint bound is at most c is ruled out, since lambda_min is at
+    most any Rayleigh quotient; one Cholesky factorization tests each other
+    midpoint.  If none clears c + _LEVEL_REL (|A|_F + |B|_F), c is the
+    maximum; otherwise step 1 repeats from the best midpoint on its arc.
+    The value is lambda_min at the returned angle, so it never exceeds the
+    maximum.
     """
     lo, phi, hi = arc
     theta = pair.theta(phi)
     lo = theta - (theta - pair.theta(lo)) % (2.0 * math.pi)
     hi = theta + (pair.theta(hi) - theta) % (2.0 * math.pi)
     a, b = SymmetricForm(pair.ra * pair.a.matrix), SymmetricForm(pair.rb * pair.b.matrix)
-    value = _min_eig(a, b, theta)
+    value = -math.inf
     margin = _LEVEL_REL * (frob(a.matrix) + frob(b.matrix))
     for _ in range(_LEVEL_ROUNDS):
-        x, y = golden_section_minimize(lambda t: -_min_eig(a, b, t), lo, hi, _POLISH_STEPS)
-        if -y > value:
-            value, theta = -y, x
-        lefts = _level_angles(a, b, value, theta)
-        rights = np.append(lefts[1:], lefts[:1] + 2.0 * math.pi)
+        value, theta = max((value, theta), _polish(a, b, lo, theta, hi))
+        mids, lefts, rights, bounds = _level_arcs(a, b, value, theta)
         level = (value + margin) * np.eye(a.dim)
         raised = [
             (_min_eig(a, b, mid), mid, left, right)
-            for mid, left, right in zip(0.5 * (lefts + rights), lefts, rights)
-            if _positive_definite(_element(a, b, mid) - level)
+            for mid, left, right, bound in zip(mids, lefts, rights, bounds)
+            if bound > value and _positive_definite(_element(a, b, mid) - level)
         ]
         if not raised or max(raised)[0] <= value:
             break
@@ -358,21 +412,23 @@ def _decision(
 ) -> tuple[DissipativityVerdict, np.ndarray | None, tuple[float, float, float] | None, int]:
     """Condition (a) on a caller's unit pair: the verdict (for a plane span
     without the `_max_min_eig` diagnostic), the candidate P of a
-    non-dissipative pair or None, the unit arc of `_support_decision` (None
-    for a one-line span) and the `eigh` calls spent."""
+    non-dissipative plane span or None, the unit arc of `_support_decision`
+    (None for a one-line span) and the `eigh` calls spent."""
     if pair.span == 0:
         raise ValueError("both forms vanish; the pair is undefined")
     if pair.span == 2:
         return _support_decision(pair)
-    verdict = _dependent_span_verdict(pair)
-    if not verdict.non_dissipative:
-        return verdict, None, None, 0
+    return _dependent_span_verdict(pair), None, None, 0
+
+
+def _segment_candidate(pair: UnitPair) -> tuple[np.ndarray, int]:
+    """P of a non-dissipative one-line span, and the `eigh` calls spent: the
+    range is a segment along d, which the top point of M at d's angle ends."""
     d, size = _descent(pair)
     if size == 0.0:
-        return verdict, np.eye(pair.a.dim) / pair.a.dim, None, 0
-    # The range is a segment along d; the top point of M at d's angle ends it.
+        return np.eye(pair.a.dim) / pair.a.dim, 0
     w, v = np.linalg.eigh(pair.element(math.atan2(d[1], d[0])))
-    return verdict, _annihilator(np.outer(v[:, -1], v[:, -1]), float(w[-1]), size), None, 1
+    return _annihilator(np.outer(v[:, -1], v[:, -1]), float(w[-1]), size), 1
 
 
 def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdict:
@@ -381,7 +437,7 @@ def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdi
     `kind` and `theta` come from `_support_decision` on the unit pair.
     `extreme_min_eig` is a diagnostic: the maximum over the circle of the
     smallest eigenvalue (`_max_min_eig`), found from the decision's best
-    angle by a golden-section polish and checked by one level-set
+    angle by a safeguarded Newton polish and checked by one level-set
     computation.  Pairs spanning a single direction are decided, and their
     `extreme_min_eig` read, from the generator (`_dependent_span_verdict`).
     """
@@ -396,10 +452,10 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
     A dissipative pair is INFEASIBLE with its PSD direction; every outcome
     carries the decision as `verdict`.  P comes from the support polygon of
     `_support_decision` (`_polygon_candidate`), or for a one-line span from
-    the segment that is its range.  Q is accepted when both residuals on the
-    unit pair are within CERT_REL and P > 0; they are reported at the
-    caller's scale, |A|_F tr(P A^) and |B|_F tr(P B^).  `iterations` counts
-    `eigh` calls.
+    the segment that is its range (`_segment_candidate`).  Q is accepted
+    when both residuals on the unit pair are within CERT_REL and P > 0; they
+    are reported at the caller's scale, |A|_F tr(P A^) and |B|_F tr(P B^).
+    `iterations` counts `eigh` calls.
     """
     pair = unit_pair(a, b)
     verdict, p, arc, calls = _decision(pair)
@@ -407,6 +463,8 @@ def trace_certificate(a: SymmetricForm, b: SymmetricForm) -> CertificateOutcome:
         verdict = replace(verdict, extreme_min_eig=_max_min_eig(pair, arc)[0])
     if not verdict.non_dissipative:
         return CertificateOutcome(CertificateStatus.INFEASIBLE, verdict, iterations=calls)
+    if arc is None:
+        p, calls = _segment_candidate(pair)
     if p is not None:
         w, vecs = np.linalg.eigh(p)
         residuals = [abs(float(np.tensordot(p, f.matrix))) for f in (pair.a, pair.b)]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from localsolv.cli import main
+from localsolv.forms import SymplecticStructure
 from conftest import close_drop_pairs, traceless_pair
 
 SCHEMA = json.loads(
@@ -433,6 +434,29 @@ def test_degenerate_point_pairing_is_input_error(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "check-point", str(path))
     assert code == 2
+    assert "degenerate" in err
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-3, 1e5])
+def test_omega_orthogonal_point_rows_are_degenerate_at_every_scale(capsys, tmp_path, s):
+    # T J T^t is rounding alone; at its own scale that read as a pairing
+    # that is not skew-symmetric, an error naming neither T nor degeneracy
+    j = SymplecticStructure.canonical(4).J
+    x, y = np.random.default_rng(3).standard_normal((2, 4))
+    w = j.T @ x
+    y = y - (w @ y) / (w @ w) * w
+    payload = {
+        "n": 2,
+        "m": 2,
+        "T": (s * np.array([x, y])).tolist(),
+        "A_re": [[1.0, 0.0], [0.0, -1.0]],
+        "A_im": [[0.0, 0.5], [0.5, 0.0]],
+    }
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "check-point", str(path))
+    assert code == 2
+    assert "input error: T:" in err
     assert "degenerate" in err
 
 

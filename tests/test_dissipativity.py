@@ -21,7 +21,7 @@ from localsolv._numeric import CERT_REL, EIG_REL
 from localsolv.dissipativity import Dissipativity
 from localsolv.fixtures import all_fixtures
 from localsolv.forms import SymplecticStructure
-from localsolv.pencil import unit_pair
+from localsolv.pencil import pencil_element, unit_pair
 from conftest import (
     CLOSE_DROP_INDICES,
     close_drop_pairs,
@@ -415,9 +415,8 @@ def assert_extreme(a, b, extremes, grid):
     return verdict
 
 
-def test_extreme_min_eig_on_random_pairs(extremes):
-    # shifted random pairs as in the decision test, 300 of each kind
-    outcomes = {True: 0, False: 0}
+def shifted_random_pairs():
+    """700 shifted random pairs as in the decision test, n = 2 to 12."""
     for index in range(700):
         rng = np.random.default_rng([index, 0xE17])
         n = int(rng.integers(2, 13))
@@ -425,6 +424,13 @@ def test_extreme_min_eig_on_random_pairs(extremes):
         phi = rng.uniform(0.0, 2.0 * np.pi)
         a = SymmetricForm(random_symmetric(n, rng) + shift * np.cos(phi) * np.eye(n))
         b = SymmetricForm(random_symmetric(n, rng) + shift * np.sin(phi) * np.eye(n))
+        yield a, b
+
+
+def test_extreme_min_eig_on_random_pairs(extremes):
+    # 300 of each kind
+    outcomes = {True: 0, False: 0}
+    for a, b in shifted_random_pairs():
         outcomes[assert_extreme(a, b, extremes, grid=1_000).non_dissipative] += 1
     assert min(outcomes.values()) >= 300, outcomes
 
@@ -452,6 +458,64 @@ def extreme_cases():
 @pytest.mark.parametrize("a, b", extreme_cases())
 def test_extreme_min_eig_on_arcs_fixtures_and_kernels(a, b, extremes):
     assert_extreme(a, b, extremes, grid=5_000 if a.dim <= 10 else 2_000)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Running counts of the np.linalg.eigh and eigvalsh calls."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_polish_cost_on_random_pairs(eig_calls, monkeypatch):
+    # the golden section it replaced spent 50 eigvalsh calls on every round
+    rounds = []
+    original = dissipativity._polish
+
+    def recorded(*args):
+        before = dict(eig_calls)
+        result = original(*args)
+        rounds.append([eig_calls[name] - before[name] for name in ("eigh", "eigvalsh")])
+        return result
+
+    monkeypatch.setattr(dissipativity, "_polish", recorded)
+    for a, b in shifted_random_pairs():
+        is_non_dissipative(a, b)
+    eigh, eigvalsh = np.array(rounds).T
+    assert len(rounds) >= 700
+    assert eigvalsh.sum() == 0
+    assert eigh.mean() <= 10.0, eigh.mean()
+
+
+def test_level_set_screen_skips_only_arcs_that_fail_cholesky(monkeypatch):
+    # a midpoint whose least Rayleigh quotient is at most c cannot clear
+    # c + margin; the screen must also be active somewhere
+    rounds = []
+    original = dissipativity._level_arcs
+
+    def recorded(a, b, c, theta):
+        rounds.append((a, b, c, original(a, b, c, theta)))
+        return rounds[-1][-1]
+
+    monkeypatch.setattr(dissipativity, "_level_arcs", recorded)
+    for a, b in shifted_random_pairs():
+        is_non_dissipative(a, b)
+    for case in extreme_cases():
+        is_non_dissipative(*case.values)
+    skipped = 0
+    for a, b, c, (mids, _, _, bounds) in rounds:
+        level = (c + dissipativity._LEVEL_REL * (a.frobenius() + b.frobenius())) * np.eye(a.dim)
+        for mid in mids[bounds <= c]:
+            assert not dissipativity._positive_definite(pencil_element(a, b, mid).matrix - level)
+            skipped += 1
+    assert skipped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +651,8 @@ def test_certificate_for_one_dimensional_span(generator, factor):
     outcome = trace_certificate(a, b)
     assert_certified(a, b, outcome)
     assert outcome.iterations == (0 if sum(generator) == 0.0 else 1)
+    # only the certificate builds the segment's P
+    assert dissipativity._decision(unit_pair(a, b))[1:] == (None, None, 0)
 
 
 # ---------------------------------------------------------------------------
