@@ -49,6 +49,12 @@ def numerical_rank(matrix: np.ndarray) -> int:
     return int(np.count_nonzero(s > rank_tolerance(s, matrix.shape)))
 
 
+def numerical_ranks(stack: np.ndarray) -> np.ndarray:
+    """`numerical_rank` of each matrix in a stack, from one stacked SVD."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    return np.count_nonzero(s > RANK_REL * s[:, :1] * max(stack.shape[1:]), axis=1)
+
+
 def nullspace(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of `matrix`."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))

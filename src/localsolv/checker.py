@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import RANK_REL, frob, numerical_rank, nullspace, rng_for
+from ._numeric import RANK_REL, frob, numerical_rank, numerical_ranks, rng_for, skew_part
 from .errors import ConsistencyError, DegeneratePairingError, GradingError, MuSearchError
 from .forms import (
     Subspace,
@@ -30,11 +30,10 @@ from .forms import (
     SymplecticStructure,
     congruence,
     is_symplectic_subspace,
-    joint_radical,
     poisson_bracket,
     skew_matrix,
 )
-from .witness import Branch, HypothesisReport, hypothesis_report
+from .witness import Branch, HypothesisReport, RadicalStatus, hypothesis_report
 
 __all__ = [
     "HeisenbergOperatorSpec",
@@ -285,23 +284,30 @@ def point_symbol_verdict(spec: PointSymbolSpec, seed: int = 42) -> Verdict:
     reduced space pulls back to the ambient bracket; R = J T^t (T J T^t)^{-1}
     is a right inverse of T; P = RT is a projector compatible with the
     ambient pairing; pencil ranks agree between the two spaces on random
-    combinations; and the joint radical is symplectic on the reduced space
-    exactly when its preimage is in the ambient space.
+    combinations; and the joint radical that `hypothesis_report` classified
+    on the unit pair is symplectic on the reduced space exactly when its
+    preimage is in the ambient space.  T and T J T^t are each decomposed
+    once, and the pencil ranks are read from one stacked SVD per space.
     """
     t = spec.t_matrix
     n2 = 2 * spec.n
     ambient = SymplecticStructure.canonical(n2)
     j2n = ambient.J
+    # one SVD of T gives |T|_2 and ker T, the rows past its rank m
+    _, t_values, t_rows = np.linalg.svd(t)
+    t_scale = float(t_values[0])
     j_z = t @ j2n @ t.T
+    k = skew_part(j_z)
     # T J T^t is computed at the scale |T|_2^2 (|J|_2 = 1), so its rank is cut
     # there: at its own scale, the rounding of a zero product has full rank
-    t_scale = float(np.linalg.norm(t, 2))
-    s = np.linalg.svd(j_z, compute_uv=False)
+    s = np.linalg.svd(k, compute_uv=False)
     if s[-1] <= RANK_REL * spec.m * t_scale**2:
         raise DegeneratePairingError(
             f"degenerate relative to |T|_2^2 (sigma_min {s[-1]:.3e}, |T|_2^2 {t_scale**2:.3e})"
         )
-    reduced = SymplecticStructure.from_bracket_matrix(j_z)
+    # `from_bracket_matrix` on T J T^t, with the singular values just taken
+    skew_matrix(j_z, "bracket matrix")
+    reduced = SymplecticStructure._inverting(k, s)
 
     a_big = SymmetricForm(2.0 * congruence(spec.a_re, t).matrix)
     b_big = SymmetricForm(2.0 * congruence(spec.a_im, t).matrix)
@@ -319,37 +325,34 @@ def point_symbol_verdict(spec: PointSymbolSpec, seed: int = 42) -> Verdict:
     scale_c = 4.0 * a_big.frobenius() * b_big.frobenius()
     _check_close("bracket pullback", c_big_pulled.matrix, c_big_direct.matrix, tol * scale_c)
 
-    r = j2n @ t.T @ np.linalg.inv(j_z)
+    # (T J T^t)^{-1} is -J of the reduced pairing
+    r = j2n @ t.T @ -reduced.J
     _check_close("T R = identity", t @ r, np.eye(spec.m), tol)
     p = r @ t
     _check_close("projector idempotency", p @ p, p, tol * max(frob(p), 1.0))
     _check_close("pairing-compatible projector", j2n @ p, p.T @ j2n, tol * max(frob(p), 1.0))
 
-    rng = rng_for(seed, 0x4A5)
-    for _ in range(8):
-        alpha, beta = rng.standard_normal(2)
-        small = alpha * spec.a_re.matrix + beta * spec.a_im.matrix
-        big = alpha * a_big.matrix + beta * b_big.matrix
-        if numerical_rank(small) != numerical_rank(big):
-            raise ConsistencyError(
-                "pencil ranks disagree between the reduced and ambient spaces"
-            )
+    alpha, beta = rng_for(seed, 0x4A5).standard_normal((8, 2)).T[:, :, None, None]
+    small = alpha * spec.a_re.matrix + beta * spec.a_im.matrix
+    big = alpha * a_big.matrix + beta * b_big.matrix
+    if np.any(numerical_ranks(small) != numerical_ranks(big)):
+        raise ConsistencyError("pencil ranks disagree between the reduced and ambient spaces")
 
-    radical = joint_radical(spec.a_re, spec.a_im)
+    hyp = hypothesis_report(spec.a_re, spec.a_im, reduced, seed=seed)
+    radical = hyp.radical
     # R scales as 1 / |T|: unit columns keep the lift of the radical above the
     # rank cut of the orthonormal ker T, whatever the scale of T
     up = r @ radical.basis
     lifted = Subspace.from_spanning(
-        n2, np.column_stack([up / np.linalg.norm(up, axis=0), nullspace(t)])
+        n2, np.column_stack([up / np.linalg.norm(up, axis=0), t_rows[spec.m :].T])
     )
-    small_sympl = is_symplectic_subspace(radical, reduced).symplectic
+    small_sympl = hyp.radical_status is not RadicalStatus.DEGENERATE
     big_sympl = is_symplectic_subspace(lifted, ambient).symplectic
     if small_sympl != big_sympl:
         raise ConsistencyError(
             "radical symplecticity disagrees between the reduced and ambient spaces"
         )
 
-    hyp = hypothesis_report(spec.a_re, spec.a_im, reduced, seed=seed)
     notes = [
         "conditions evaluated on the reduced field space with the pairing "
         "induced by T J T^t",

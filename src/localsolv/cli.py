@@ -208,7 +208,8 @@ def _as_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
 def _form_from(payload: dict, key: str, n: int, warnings: list[str]) -> SymmetricForm:
     m = _as_matrix(_require(payload, key), n, n, key)
     asymmetry = float(np.max(np.abs(m - m.T)))
-    if asymmetry > 1e-9 * max(1.0, float(np.max(np.abs(m)))):
+    # relative to max|M| alone, so a small input's asymmetry is seen too
+    if asymmetry > 1e-9 * float(np.max(np.abs(m))):
         warnings.append(f"{key}: symmetrized on load (asymmetry {asymmetry:.3e})")
     return SymmetricForm(m)
 

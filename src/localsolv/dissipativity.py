@@ -236,10 +236,12 @@ def _polish(a: SymmetricForm, b: SymmetricForm, lo: float, x: float, hi: float) 
     return best
 
 
-def _max_min_eig(pair: UnitPair, arc: tuple[float, float, float]) -> tuple[float, float]:
-    """(max over the circle of lambda_min(M(theta)), an angle theta attaining
-    it) for the caller's pair, from a unit arc (lo, phi, hi) of
-    `_support_decision`.
+def _max_min_eig(
+    pair: UnitPair, arc: tuple[float, float, float]
+) -> tuple[float, tuple[float, float, float]]:
+    """(max over the circle of lambda_min(M(theta)), (lo, theta, hi)) for the
+    caller's pair, from a unit arc (lo, phi, hi) of `_support_decision`:
+    theta attains the maximum, and lo and hi end the arc it was polished on.
 
     It runs on the caller's pair divided by 2**e, (ra A^, rb B^), with phi
     and its arc mapped to the caller's angles, and scales the value back.
@@ -252,7 +254,8 @@ def _max_min_eig(pair: UnitPair, arc: tuple[float, float, float]) -> tuple[float
     midpoint.  If none clears c + _LEVEL_REL (|A|_F + |B|_F), c is the
     maximum; otherwise step 1 repeats from the best midpoint on its arc.
     The value is lambda_min at the returned angle, so it never exceeds the
-    maximum.
+    maximum.  For the unit pair as its own caller the returned arc is a unit
+    arc, from which a second call starts at the maximum.
     """
     lo, phi, hi = arc
     theta = pair.theta(phi)
@@ -273,7 +276,7 @@ def _max_min_eig(pair: UnitPair, arc: tuple[float, float, float]) -> tuple[float
         if not raised or max(raised)[0] <= value:
             break
         value, theta, lo, hi = max(raised)
-    return math.ldexp(value, pair.e), theta
+    return math.ldexp(value, pair.e), (lo, theta, hi)
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> float:
@@ -352,9 +355,11 @@ def _support_decision(
 
     Returns the verdict at the caller's angle and scale, whose
     `extreme_min_eig` is the best evaluated value; P if the points surrounded
-    0 and the pair is non-dissipative, else None; the unit arc (lo, phi, hi)
-    of the best evaluated angle phi and its neighbours among the evaluated
-    angles; and the `eigh` count.
+    0 and the pair is non-dissipative, else None; a unit arc (lo, phi, hi):
+    the best evaluated angle phi and its neighbours among the evaluated
+    angles or, after the fallback, the maximum and the arc it was polished
+    on, where the `_max_min_eig` diagnostic then starts; and the `eigh` count
+    of the search.
     """
     a, b = pair.a, pair.b
     zs, tried = np.empty((a.dim, 0)), []
@@ -391,8 +396,9 @@ def _support_decision(
     )
     if proved:
         return verdict, p, arc, calls
-    # The unit pair as its own caller: its value and angle are read unmapped.
-    value, phi = _max_min_eig(pair._replace(ra=1.0, rb=1.0, e=0), arc)
+    # The unit pair as its own caller: its value and arc are read unmapped.
+    value, arc = _max_min_eig(pair._replace(ra=1.0, rb=1.0, e=0), arc)
+    phi = arc[1]
     if value >= -EIG_REL:
         return _dissipative(pair, phi, pair.value(pair.theta(phi), value)), None, arc, calls
     return verdict, p, arc, calls
@@ -437,9 +443,10 @@ def is_non_dissipative(a: SymmetricForm, b: SymmetricForm) -> DissipativityVerdi
     `kind` and `theta` come from `_support_decision` on the unit pair.
     `extreme_min_eig` is a diagnostic: the maximum over the circle of the
     smallest eigenvalue (`_max_min_eig`), found from the decision's best
-    angle by a safeguarded Newton polish and checked by one level-set
-    computation.  Pairs spanning a single direction are decided, and their
-    `extreme_min_eig` read, from the generator (`_dependent_span_verdict`).
+    angle (or from the maximum its fallback found) by a safeguarded Newton
+    polish and checked by one level-set computation.  Pairs spanning a
+    single direction are decided, and their `extreme_min_eig` read, from the
+    generator (`_dependent_span_verdict`).
     """
     pair = unit_pair(a, b)
     verdict, _, arc, _ = _decision(pair)

@@ -125,21 +125,37 @@ class SymplecticStructure:
     """Non-degenerate skew pairing on an even-dimensional real space.
 
     J must pass `skew_matrix`, and its rank cut (`DegeneratePairingError`
-    otherwise).  `sigma_min` is the smallest singular value of J, 1 / |J^-1|_2."""
+    otherwise).  `sigma_min` and `sigma_max` are the smallest and largest
+    singular values of J, so sigma_min = 1 / |J^-1|_2 and sigma_max = |J|_2.
+    They come from one SVD of J, except where the constructor knows them:
+    all are 1 for `canonical`, and `from_bracket_matrix` takes them from the
+    SVD of the bracket matrix K, as 1 / sigma(K) in reverse order."""
 
     J: np.ndarray
     sigma_min: float = field(init=False, repr=False, compare=False)
+    sigma_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         j = skew_matrix(self.J, "pairing matrix")
+        self._settle(j, np.linalg.svd(j, compute_uv=False))
+
+    def _settle(self, j: np.ndarray, s: np.ndarray):
+        """Check and store a skew J whose singular values, descending, are s."""
         if j.shape[0] % 2 != 0:
             raise ValueError(f"skew pairing needs even dimension, got {j.shape[0]}")
-        s = np.linalg.svd(j, compute_uv=False)
         if j.shape[0] > 0 and s[-1] <= rank_tolerance(s, j.shape):
             raise DegeneratePairingError("pairing matrix is degenerate")
         j.flags.writeable = False
         object.__setattr__(self, "J", j)
         object.__setattr__(self, "sigma_min", float(s[-1]) if s.size else 1.0)
+        object.__setattr__(self, "sigma_max", float(s[0]) if s.size else 1.0)
+
+    @staticmethod
+    def _known(j: np.ndarray, s: np.ndarray) -> "SymplecticStructure":
+        """The structure of a skew J whose singular values s are known."""
+        structure = object.__new__(SymplecticStructure)
+        structure._settle(j, s)
+        return structure
 
     @property
     def two_d(self) -> int:
@@ -147,13 +163,13 @@ class SymplecticStructure:
 
     @staticmethod
     def canonical(two_d: int) -> "SymplecticStructure":
-        """Standard pairing [[0, I], [-I, 0]] on R^(2d)."""
+        """Standard pairing [[0, I], [-I, 0]] on R^(2d); its singular values are 1."""
         if two_d <= 0 or two_d % 2 != 0:
             raise ValueError(f"dimension must be a positive even integer, got {two_d}")
         d = two_d // 2
         eye = np.eye(d)
         j = np.block([[np.zeros((d, d)), eye], [-eye, np.zeros((d, d))]])
-        return SymplecticStructure(j)
+        return SymplecticStructure._known(j, np.ones(two_d))
 
     @staticmethod
     def from_bracket_matrix(commutators: np.ndarray) -> "SymplecticStructure":
@@ -165,11 +181,16 @@ class SymplecticStructure:
         quotient hold with the same sign convention on both sides.
         """
         k = skew_matrix(commutators, "bracket matrix")
-        s = np.linalg.svd(k, compute_uv=False)
+        return SymplecticStructure._inverting(k, np.linalg.svd(k, compute_uv=False))
+
+    @staticmethod
+    def _inverting(k: np.ndarray, s: np.ndarray) -> "SymplecticStructure":
+        """J = -K^-1 for a skew K whose singular values s are known: one
+        inverse, and J's singular values 1 / s in reverse order."""
         if k.shape[0] == 0 or s[-1] <= rank_tolerance(s, k.shape):
             raise DegeneratePairingError("bracket matrix is degenerate")
         # the inverse of a skew matrix is skew; its rounding is no input defect
-        return SymplecticStructure(skew_part(-np.linalg.inv(k)))
+        return SymplecticStructure._known(skew_part(-np.linalg.inv(k)), 1.0 / s[::-1])
 
     def omega(self, u, v) -> float:
         u = np.asarray(u, dtype=float)
@@ -312,9 +333,10 @@ def is_symplectic_subspace(
 
     The empty subspace counts as symplectic (trivial-radical branch); the
     certificate carries the smallest singular value of the restricted Gram
-    matrix.  The rank cut is relative to the pairing's scale ||J||_2, not to
-    the Gram matrix itself: the Gram matrix of an isotropic subspace is
-    rounding error, and a cut relative to that would call it full rank.
+    matrix.  The rank cut is relative to the pairing's scale ||J||_2
+    (`sigma_max`), not to the Gram matrix itself: the Gram matrix of an
+    isotropic subspace is rounding error, and a cut relative to that would
+    call it full rank.
     """
     if subspace.ambient_dim != structure.two_d:
         raise ValueError(
@@ -326,7 +348,7 @@ def is_symplectic_subspace(
         return SymplecticityCertificate(True, float("inf"), 0)
     gram = subspace.basis.T @ structure.J @ subspace.basis
     s = np.linalg.svd(gram, compute_uv=False)
-    cut = RANK_REL * float(np.linalg.norm(structure.J, 2)) * k
+    cut = RANK_REL * structure.sigma_max * k
     return SymplecticityCertificate(bool(s[-1] > cut), float(s[-1]), k)
 
 

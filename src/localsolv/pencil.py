@@ -11,14 +11,16 @@ theta = atan2(|A| sin(phi), |B| cos(phi)), rho = hypot(|A| cos(theta),
 to the caller's pencil; no decision maps theta back to phi, which at
 |A| / |B| = 1e9 a float theta near pi/2 fixes only to about 1e-7.
 
-Nine seeded probes give maxrank r and a generic angle phi_g.  For a generic
-orthonormal n x r matrix U, det(U^T M^(phi) U) vanishes at every angle where
-M^ loses rank (rank completion, Hochstenbach-Mehl-Plestenjak, SIMAX 2019).
-So with G = U^T M^(phi_g) U and H = U^T M^(phi_g + pi/2) U, every drop sits
-at phi_g + delta (and that angle + pi, since M^(phi + pi) = -M^(phi)) with
-tan(delta) = -1/lambda for a real eigenvalue lambda of G^-1 H.
+Seeded probes give maxrank r and a generic angle phi_g: one probe when its
+element has full rank n, else nine, the last eight in one stacked SVD.  For
+a generic orthonormal n x r matrix U, det(U^T M^(phi) U) vanishes at every
+angle where M^ loses rank (rank completion, Hochstenbach-Mehl-Plestenjak,
+SIMAX 2019).  So with G = U^T M^(phi_g) U and H = U^T M^(phi_g + pi/2) U,
+every drop sits at phi_g + delta (and that angle + pi, since M^(phi + pi) =
+-M^(phi)) with tan(delta) = -1/lambda for a real eigenvalue lambda of
+G^-1 H.
 
-One SVD confirms each candidate and gives the rank there.  Singular
+One stacked SVD confirms the candidates and gives the rank at each.  Singular
 Kronecker blocks of the pencil (Van Dooren 1979) add spurious candidates,
 which that check discards.  A candidate that fails it is refined by a
 golden-section search of the r-th singular value around it, so a drop whose
@@ -139,6 +141,12 @@ def _spectrum(a: SymmetricForm, b: SymmetricForm, phi: float) -> np.ndarray:
     return np.linalg.svd(_element(a, b, phi), compute_uv=False)
 
 
+def _spectra(a: SymmetricForm, b: SymmetricForm, phis) -> np.ndarray:
+    """`_spectrum` at each angle, from one stacked SVD (row by row the same
+    values as single calls)."""
+    return np.linalg.svd(np.stack([_element(a, b, float(t)) for t in phis]), compute_uv=False)
+
+
 def _rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > rank_tolerance(s, (len(s), len(s)))))
 
@@ -152,14 +160,19 @@ def _marginal(s: np.ndarray, rank: int) -> bool:
 def _probe(
     a: SymmetricForm, b: SymmetricForm, seed: int
 ) -> tuple[int, float, np.ndarray, list[str]]:
-    """(maxrank, generic angle, its singular values, notes) from nine probes
-    of the unit pair.
+    """(maxrank, generic angle, its singular values, notes) from up to nine
+    probes of the unit pair.
 
-    The generic rank is read at a random direction and confirmed on eight
-    more; the generic angle is the first probe that reaches it.
+    The generic rank is read at a random direction.  Full rank n there ends
+    the probe, since no angle has more; otherwise eight more directions,
+    decomposed in one stacked SVD, confirm it.  The generic angle is the
+    first probe that reaches the largest rank.
     """
     phis = rng_for(seed, 0x9EC1).uniform(0.0, 2.0 * math.pi, size=9)
-    spectra = [_spectrum(a, b, float(t)) for t in phis]
+    first = _spectrum(a, b, float(phis[0]))
+    if _rank(first) == a.dim:
+        return a.dim, float(phis[0]), first, []
+    spectra = [first, *_spectra(a, b, phis[1:])]
     ranks = [_rank(s) for s in spectra]
     best = int(np.argmax(ranks))
     notes = []
@@ -215,8 +228,8 @@ def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilRe
     marginal_drops: list[float] = []
     drops: list[tuple[float, int]] = []
     found: list[float] = []
-    for psi in _candidate_clusters(a, b, generic_phi, maxrank, seed):
-        s = _spectrum(a, b, psi)
+    candidates = _candidate_clusters(a, b, generic_phi, maxrank, seed)
+    for psi, s in zip(candidates, _spectra(a, b, candidates) if candidates else []):
         if _rank(s) >= maxrank:
             psi, _ = golden_section_minimize(
                 lambda t: _spectrum(a, b, t)[maxrank - 1],

@@ -29,7 +29,7 @@ the first restart has failed, so searches that succeed at once pay nothing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -164,6 +164,9 @@ class ContainmentProbe:
 
 @dataclass(frozen=True)
 class HypothesisReport:
+    """The hypotheses of a verdict.  `radical` is the joint radical of the
+    unit pair that `radical_status` classifies; it is not compared."""
+
     nondissipative: bool
     independent_abc: bool
     minrank: int
@@ -171,6 +174,7 @@ class HypothesisReport:
     radical_status: RadicalStatus
     radical_dim: int
     branch: Branch
+    radical: Subspace = field(compare=False, repr=False)
     notes: tuple[str, ...] = ()
 
 
@@ -685,6 +689,7 @@ def hypothesis_report(
         radical_status=status,
         radical_dim=radical.dim,
         branch=branch,
+        radical=radical,
         notes=tuple(notes),
     )
 

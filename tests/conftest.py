@@ -157,3 +157,22 @@ def branch_two_instance(n, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Running counts of the calls of each numpy.linalg function, by name.
+    numpy's own calls between them are not counted."""
+    calls = {}
+    for name in np.linalg.__all__:
+        original = getattr(np.linalg, name)
+        if isinstance(original, type):
+            continue
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

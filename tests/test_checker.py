@@ -372,3 +372,34 @@ def test_heisenberg_one_dimensional_radical_is_degenerate(seed):
     assert hyp.radical_status is RadicalStatus.DEGENERATE
     assert verdict.condition_c is Branch.NONE
     assert verdict.outcome is VerdictOutcome.INCONCLUSIVE
+
+
+def test_point_symbol_verdict_decomposes_each_matrix_once(monkeypatch):
+    # T and T J T^t once each, the joint radical once (on the unit pair), and
+    # the eight ambient pencil ranks in one stacked SVD
+    rng = np.random.default_rng(0xD1)
+    t = rng.standard_normal((6, 10))
+    a, b = traceless_pair(6, rng)
+    a, b = SymmetricForm(3.0 * a.matrix), SymmetricForm(0.5 * b.matrix)
+    spec = PointSymbolSpec(5, 6, t, a, b)
+    factored = {"svd": [], "inv": []}
+    for name, seen in factored.items():
+
+        def recorded(x, *args, _seen=seen, _original=getattr(np.linalg, name), **kwargs):
+            _seen.append(np.array(x, copy=True))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    point_symbol_verdict(spec)
+
+    def count(name, m):
+        return sum(x.shape == m.shape and np.array_equal(x, m) for x in factored[name])
+
+    j_z = t @ SymplecticStructure.canonical(10).J @ t.T
+    k = 0.5 * (j_z - j_z.T)
+    assert count("svd", t) == 1
+    assert count("svd", k) == 1
+    assert count("inv", k) == len(factored["inv"]) == 1
+    assert count("svd", np.vstack([a.normalized().matrix, b.normalized().matrix])) == 1
+    assert count("svd", np.vstack([a.matrix, b.matrix])) == 0
+    assert sum(x.shape == (8, 10, 10) for x in factored["svd"]) == 1

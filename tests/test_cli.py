@@ -405,6 +405,27 @@ def test_asymmetric_input_warns(capsys, tmp_path):
     assert any("symmetrized" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-6, 1e-12, 1e-150, 1e150])
+def test_asymmetry_warning_is_relative_to_the_input(capsys, tmp_path, s):
+    # A is 100% asymmetric at every scale; an absolute floor hid it below 1e-9
+    path = tmp_path / "asym.json"
+    payload = {"n": 2, "A": [[s, 2 * s], [0, s]], "B": [[0, s], [s, 0]]}
+    path.write_text(json.dumps(payload))
+    code, report = run_json(capsys, "pencil", str(path))
+    assert code == 0
+    assert [w.split(":")[0] for w in report["warnings"] if "symmetrized" in w] == ["A"]
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-12, 1e-300, 1e150])
+def test_symmetric_input_never_warns(capsys, tmp_path, s):
+    path = tmp_path / "sym.json"
+    payload = {"n": 2, "A": [[s, 3 * s], [3 * s, -s]], "B": [[0, s], [s, 0]]}
+    path.write_text(json.dumps(payload))
+    code, report = run_json(capsys, "pencil", str(path))
+    assert code == 0
+    assert not any("symmetrized" in w for w in report["warnings"])
+
+
 def test_abelian_two_step_exits_inconclusive(capsys, tmp_path):
     path = tmp_path / "abelian.json"
     payload = {

@@ -388,7 +388,7 @@ def test_hypothesis_report_runs_the_pencil_once_and_no_scan(monkeypatch):
 
 @pytest.fixture
 def extremes(monkeypatch):
-    """Every (value, theta) that the refinement of extreme_min_eig returns."""
+    """Every (value, (lo, theta, hi)) that the refinement of extreme_min_eig returns."""
     calls = []
     original = dissipativity._max_min_eig
 
@@ -406,7 +406,7 @@ def assert_extreme(a, b, extremes, grid):
     1e-12 (|A|_F + |B|_F).  Returns the verdict."""
     extremes.clear()
     verdict = is_non_dissipative(a, b)
-    ((value, theta),) = extremes
+    ((value, (_, theta, _)),) = extremes
     scale = a.frobenius() + b.frobenius()
     assert verdict.extreme_min_eig == value
     m = np.cos(theta) * a.matrix + np.sin(theta) * b.matrix
@@ -460,29 +460,15 @@ def test_extreme_min_eig_on_arcs_fixtures_and_kernels(a, b, extremes):
     assert_extreme(a, b, extremes, grid=5_000 if a.dim <= 10 else 2_000)
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    """Running counts of the np.linalg.eigh and eigvalsh calls."""
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def test_polish_cost_on_random_pairs(eig_calls, monkeypatch):
+def test_polish_cost_on_random_pairs(linalg_calls, monkeypatch):
     # the golden section it replaced spent 50 eigvalsh calls on every round
     rounds = []
     original = dissipativity._polish
 
     def recorded(*args):
-        before = dict(eig_calls)
+        before = dict(linalg_calls)
         result = original(*args)
-        rounds.append([eig_calls[name] - before[name] for name in ("eigh", "eigvalsh")])
+        rounds.append([linalg_calls[name] - before[name] for name in ("eigh", "eigvalsh")])
         return result
 
     monkeypatch.setattr(dissipativity, "_polish", recorded)
@@ -712,3 +698,40 @@ def test_arc_pairs_just_past_the_cut(n, past, monkeypatch):
         if n == 40 and past == 1e-7 and s in (1, 4):
             assert fallbacks
         assert_certified(a, b, trace_certificate(a, b))
+
+
+# The seven pairs of `test_arc_pairs_just_past_the_cut` whose support search
+# falls back to `_max_min_eig`, keyed (n, past, s), with the `eigh` calls that
+# `trace_certificate` spent on each when its diagnostic polished again from
+# the coarse support arc (292 in all).
+FALLBACK_EIGH_FROM_THE_SUPPORT_ARC = {
+    (20, 1e-7, 0): 48,
+    (20, 1e-7, 3): 44,
+    (20, 1e-7, 4): 46,
+    (40, 1e-6, 3): 40,
+    (40, 1e-7, 1): 45,
+    (40, 1e-7, 3): 37,
+    (40, 1e-7, 4): 32,
+}
+
+
+def test_diagnostic_starts_at_the_fallback_maximum(linalg_calls, extremes):
+    # 189 calls in all once the diagnostic starts where the fallback ended
+    spent = {}
+    for (n, past, s), before in FALLBACK_EIGH_FROM_THE_SUPPORT_ARC.items():
+        a, b = arc_pair(n, past, np.random.default_rng([n, s, 0xC07]))
+        extremes.clear()
+        calls = linalg_calls["eigh"]
+        outcome = trace_certificate(a, b)
+        spent[n, past, s] = linalg_calls["eigh"] - calls
+        assert spent[n, past, s] < before, (n, past, s)
+        assert_certified(a, b, outcome)
+        # the fallback, then the diagnostic from the arc the fallback returned
+        (fallback, _), (value, (_, theta, _)) = extremes
+        assert fallback < -EIG_REL
+        assert outcome.verdict.extreme_min_eig == value
+        scale = a.frobenius() + b.frobenius()
+        m = np.cos(theta) * a.matrix + np.sin(theta) * b.matrix
+        assert np.linalg.eigvalsh(m)[0] == pytest.approx(value, rel=1e-13, abs=1e-14 * scale)
+        assert value >= scan_oracle(a, b, grid=2_000) - 1e-12 * scale
+    assert sum(spent.values()) < sum(FALLBACK_EIGH_FROM_THE_SUPPORT_ARC.values())

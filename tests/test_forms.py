@@ -18,6 +18,7 @@ from localsolv import (
     poisson_bracket,
     span_rank,
 )
+from localsolv.errors import DegeneratePairingError
 from conftest import random_skew_structure, random_symmetric
 
 
@@ -364,3 +365,92 @@ def test_span_rank_invariant_under_separate_scaling(seed, exponents):
 def test_subspace_orthonormality_enforced():
     with pytest.raises(ValueError):
         Subspace(3, np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# singular values of a pairing: one SVD, or none where they are known
+
+EPS = np.finfo(float).eps
+# The numpy.linalg functions that factor a matrix.
+DECOMPOSITIONS = (
+    "svd", "svdvals", "inv", "pinv", "solve", "lstsq", "qr", "cholesky",
+    "eig", "eigh", "eigvals", "eigvalsh", "det", "slogdet", "matrix_rank", "cond",
+)
+
+
+def test_canonical_takes_no_svd(linalg_calls):
+    structures = [SymplecticStructure.canonical(two_d) for two_d in (2, 4, 10, 40)]
+    assert linalg_calls["svd"] == 0
+    for structure in structures:
+        assert (structure.sigma_min, structure.sigma_max) == (1.0, 1.0)
+        s = np.linalg.svd(structure.J, compute_uv=False)
+        assert np.array_equal(s, np.ones(structure.two_d))
+
+
+def test_from_bracket_matrix_takes_one_svd_and_one_inverse(linalg_calls, rng):
+    k = random_skew_structure(10, rng).J
+    before = dict(linalg_calls)
+    SymplecticStructure.from_bracket_matrix(k)
+    spent = {name: linalg_calls[name] - before[name] for name in DECOMPOSITIONS}
+    assert {name: count for name, count in spent.items() if count} == {"svd": 1, "inv": 1}
+
+
+def test_is_symplectic_subspace_takes_no_norm_of_j(linalg_calls, rng):
+    structure = random_skew_structure(8, rng)
+    subspace = Subspace.from_spanning(8, rng.standard_normal((8, 3)))
+    before = dict(linalg_calls)
+    is_symplectic_subspace(subspace, structure)
+    assert linalg_calls["norm"] == before["norm"]
+    assert linalg_calls["svd"] == before["svd"] + 1
+
+
+def commutator_matrix(kind, rng):
+    """A skew K = Q diag(s_i [[0, 1], [-1, 0]]) Q^T with Q orthogonal:
+    "random" with s in [0.1, 1]; "near", with s_min / s_max within 10x of
+    the rank cut on either side; "scaled", a random one times 10^k, |k| <= 10."""
+    d = int(rng.integers(2 if kind == "near" else 1, 11))
+    n = 2 * d
+    if kind == "near":
+        ratio = 1e-9 * n * 10.0 ** rng.uniform(-1.0, 1.0)
+        sigma = np.concatenate([[1.0, ratio], rng.uniform(ratio, 1.0, d - 2)])
+    else:
+        sigma = rng.uniform(0.1, 1.0, d)
+    blocks = np.zeros((n, n))
+    blocks[::2, 1::2] = np.diag(sigma)
+    blocks[1::2, ::2] = -np.diag(sigma)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    k = q @ blocks @ q.T
+    k = 0.5 * (k - k.T)
+    return k * 10.0 ** int(rng.integers(-10, 11)) if kind == "scaled" else k
+
+
+@pytest.mark.parametrize("kind", ["random", "near", "scaled"])
+def test_singular_values_from_the_bracket_matrix(kind):
+    # J = -K^-1 has singular values 1 / s(K): they agree with an SVD of the
+    # stored J within 1e-12, or within eps cond(K) per dimension when K is
+    # near its rank cut, where the inverse itself carries that error
+    decided = set()
+    for index in range(200):
+        rng = np.random.default_rng([index, 0x51C])
+        k = commutator_matrix(kind, rng)
+        s_k = np.linalg.svd(k, compute_uv=False)
+        j = -np.linalg.inv(k)
+        try:
+            SymplecticStructure(0.5 * (j - j.T))
+            direct = True
+        except DegeneratePairingError:
+            direct = False
+        try:
+            structure = SymplecticStructure.from_bracket_matrix(k)
+        except DegeneratePairingError:
+            assert not direct, index
+            decided.add(False)
+            continue
+        assert direct, index
+        decided.add(True)
+        s_j = np.linalg.svd(structure.J, compute_uv=False)
+        tol = max(1e-12, len(k) * EPS * s_k[0] / s_k[-1])
+        assert structure.sigma_max == pytest.approx(s_j[0], rel=tol)
+        assert structure.sigma_min == pytest.approx(s_j[-1], rel=tol)
+    # near the cut both decisions occur
+    assert decided == ({True, False} if kind == "near" else {True})

@@ -333,3 +333,70 @@ def test_rank_profile_refines_a_candidate_that_misses(monkeypatch):
     a, b = planted(phi, np.ones(4), haar_congruence(4, np.random.default_rng(5)))
     profile = rank_profile(a, b)
     assert_same_drops(profile.drop_points, planted_drops(phi, np.ones(4)))
+
+
+# ---------------------------------------------------------------------------
+# decompositions: one probe SVD at full rank, one stacked call for the rest
+
+
+def loop_probe(a, b, seed):
+    """The reference probe: nine single SVDs, the largest rank at the first
+    angle that reaches it."""
+    phis = pencil.rng_for(seed, 0x9EC1).uniform(0.0, 2.0 * np.pi, size=9)
+    spectra = [pencil._spectrum(a, b, float(t)) for t in phis]
+    ranks = [pencil._rank(s) for s in spectra]
+    best = int(np.argmax(ranks))
+    return ranks[best], float(phis[best]), spectra[best], min(ranks) != ranks[best]
+
+
+def rank_deficient_pair(n, rng):
+    """A traceless pair of rank n - 1 with a shared kernel vector."""
+    a, b = traceless_pair(n - 1, rng)
+    grow = np.eye(n)[:, : n - 1] @ np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+    return SymmetricForm(grow @ a.matrix @ grow.T), SymmetricForm(grow @ b.matrix @ grow.T)
+
+
+@pytest.fixture
+def probe_svds(monkeypatch, linalg_calls):
+    """The SVD calls of each `_probe`."""
+    counts = []
+    original = pencil._probe
+
+    def counted(*args):
+        before = linalg_calls["svd"]
+        result = original(*args)
+        counts.append(linalg_calls["svd"] - before)
+        return result
+
+    monkeypatch.setattr(pencil, "_probe", counted)
+    return counts
+
+
+@pytest.mark.parametrize("n", [4, 10, 20, 40])
+def test_full_rank_profile_takes_one_probe_svd(n, probe_svds):
+    a, b = traceless_pair(n, np.random.default_rng([n, 0x9EC1]))
+    assert rank_profile(a, b).maxrank == n
+    assert probe_svds == [1]
+
+
+@pytest.mark.parametrize("n", [4, 10, 20, 40])
+def test_rank_deficient_profile_stacks_the_other_eight_probes(n, probe_svds):
+    a, b = rank_deficient_pair(n, np.random.default_rng([n, 0x9EC2]))
+    assert rank_profile(a, b).maxrank == n - 1
+    assert probe_svds == [2]
+
+
+def test_probe_matches_the_loop_of_single_svds():
+    # bitwise: a stacked SVD gives each matrix the values of a single call
+    for index in range(60):
+        rng = np.random.default_rng([index, 0x9EC3])
+        n = int(rng.integers(3, 30))
+        a, b = (traceless_pair if index % 2 else rank_deficient_pair)(n, rng)
+        pair = pencil.unit_pair(a, b)
+        seed = int(rng.integers(0, 2**31))
+        maxrank, phi, spectrum, notes = pencil._probe(pair.a, pair.b, seed)
+        ref_rank, ref_phi, ref_spectrum, disagreed = loop_probe(pair.a, pair.b, seed)
+        assert (maxrank, phi) == (ref_rank, ref_phi)
+        assert np.array_equal(spectrum, ref_spectrum)
+        # after a full-rank first probe no other probe is taken to disagree
+        assert bool(notes) == (disagreed and maxrank < n)

@@ -442,6 +442,11 @@ def test_verdict_is_invariant(bench, d, classes, zeros, dissipative, seed):
         a2, b2 = transformed(a, b, kind, rng)
         spec = HeisenbergOperatorSpec(d, SymmetricForm(a2), SymmetricForm(b2))
         assert outcome(heisenberg_verdict(spec)) == reference, kind
+        if kind == "scale":
+            scaled = SymmetricForm(a2), SymmetricForm(b2)
+    # the separately scaled pair through the point route, radical check included
+    spec = PointSymbolSpec(d + 1, n, position_embedding(d), *scaled)
+    assert outcome(point_symbol_verdict(spec)) == reference, "point, scaled pair"
     # the same pair through a scaled commutator matrix and a scaled point map
     forms = SymmetricForm(a), SymmetricForm(b)
     k = int(rng.integers(-10, 11))
