@@ -21,8 +21,8 @@ print("rank drops at:")
 for theta, rank in profile.drop_points:
     print(f"  theta = {theta:.6f} -> rank {rank}")
 
-# Rank-drop directions are the real eigenvalues of the pencil compressed to
-# its generic rank, so drops planted at arbitrary angles are found to rounding
+# Rank-drop directions are the real eigenvalues of the pencil deflated by its
+# joint radical, so drops planted at arbitrary angles are found to rounding
 # error.
 rng = np.random.default_rng(1)
 t0 = 0.7123456789

@@ -55,25 +55,15 @@ def numerical_ranks(stack: np.ndarray) -> np.ndarray:
     return np.count_nonzero(s > RANK_REL * s[:, :1] * max(stack.shape[1:]), axis=1)
 
 
-def nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of `matrix`."""
+def kernel_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) of the row space and the kernel of `matrix`."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     n = matrix.shape[1]
     if matrix.size == 0 or not np.any(matrix):
-        return np.eye(n)
+        return np.zeros((n, 0)), np.eye(n)
     _, s, vh = np.linalg.svd(matrix)
     rank = int(np.count_nonzero(s > rank_tolerance(s, matrix.shape)))
-    return vh[rank:].T.copy()
-
-
-def orthonormal_columns(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the column span of `matrix`."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.shape[1] == 0 or not np.any(matrix):
-        return np.zeros((matrix.shape[0], 0))
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    rank = int(np.count_nonzero(s > rank_tolerance(s, matrix.shape)))
-    return u[:, :rank].copy()
+    return vh[:rank].T.copy(), vh[rank:].T.copy()
 
 
 def rng_for(seed: int, *salt: int) -> np.random.Generator:

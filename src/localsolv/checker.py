@@ -18,11 +18,11 @@ never asserts solvability; it records which hypothesis failed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import RANK_REL, frob, numerical_rank, numerical_ranks, rng_for, skew_part
+from ._numeric import RANK_REL, frob, numerical_ranks, rank_tolerance, rng_for, skew_part
 from .errors import ConsistencyError, DegeneratePairingError, GradingError, MuSearchError
 from .forms import (
     Subspace,
@@ -136,6 +136,9 @@ class PointSymbolSpec:
     t_matrix: np.ndarray
     a_re: SymmetricForm
     a_im: SymmetricForm
+    # the singular values and right singular vectors of T, from its rank check
+    t_values: np.ndarray = field(init=False, repr=False, compare=False)
+    t_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n <= 0 or self.m <= 0:
@@ -145,10 +148,13 @@ class PointSymbolSpec:
             raise ValueError(
                 f"T must be {self.m}x{2 * self.n}, got {t.shape}"
             )
-        if numerical_rank(t) < self.m:
+        _, s, vh = np.linalg.svd(t)
+        if np.count_nonzero(s > rank_tolerance(s, t.shape)) < self.m:
             raise ValueError("T is rank-deficient; the point data does not span")
         t.flags.writeable = False
         object.__setattr__(self, "t_matrix", t)
+        object.__setattr__(self, "t_values", s)
+        object.__setattr__(self, "t_rows", vh)
         if self.a_re.dim != self.m or self.a_im.dim != self.m:
             raise ValueError("coefficient forms must match the field count m")
 
@@ -210,10 +216,11 @@ def _assemble(hyp: HypothesisReport, notes: list[str], mu0=None) -> Verdict:
     )
 
 
-def heisenberg_verdict(spec: HeisenbergOperatorSpec, seed: int = 42) -> Verdict:
-    """Verdict for the one-center group with the standard skew matrix."""
+def heisenberg_verdict(spec: HeisenbergOperatorSpec) -> Verdict:
+    """Verdict for the one-center group with the standard skew matrix.  It
+    draws nothing: one deflation of the pencil gives the ranks and radical."""
     structure = SymplecticStructure.canonical(2 * spec.d)
-    hyp = hypothesis_report(spec.a_re, spec.a_im, structure, seed=seed)
+    hyp = hypothesis_report(spec.a_re, spec.a_im, structure)
     notes = [
         "conditions evaluated on the 2d-dimensional coefficient space with "
         "its commutator-induced pairing",
@@ -258,7 +265,7 @@ def two_step_verdict(spec: TwoStepGroupSpec, seed: int = 42) -> Verdict:
     pairing induced by the combined commutator matrix at the found direction.
     """
     mu, structure = _search_mu(spec, seed)
-    hyp = hypothesis_report(spec.a_re, spec.a_im, structure, seed=seed)
+    hyp = hypothesis_report(spec.a_re, spec.a_im, structure)
     notes = [
         "conditions evaluated on the generator space with the pairing induced "
         "by the combined commutator matrix",
@@ -286,16 +293,15 @@ def point_symbol_verdict(spec: PointSymbolSpec, seed: int = 42) -> Verdict:
     ambient pairing; pencil ranks agree between the two spaces on random
     combinations; and the joint radical that `hypothesis_report` classified
     on the unit pair is symplectic on the reduced space exactly when its
-    preimage is in the ambient space.  T and T J T^t are each decomposed
-    once, and the pencil ranks are read from one stacked SVD per space.
+    preimage is in the ambient space.  T (by the spec) and T J T^t are each
+    decomposed once, and the pencil ranks in one stacked SVD per space.
     """
     t = spec.t_matrix
     n2 = 2 * spec.n
     ambient = SymplecticStructure.canonical(n2)
     j2n = ambient.J
-    # one SVD of T gives |T|_2 and ker T, the rows past its rank m
-    _, t_values, t_rows = np.linalg.svd(t)
-    t_scale = float(t_values[0])
+    # the spec's SVD of T gives |T|_2 and ker T, the rows past its rank m
+    t_scale = float(spec.t_values[0])
     j_z = t @ j2n @ t.T
     k = skew_part(j_z)
     # T J T^t is computed at the scale |T|_2^2 (|J|_2 = 1), so its rank is cut
@@ -338,13 +344,12 @@ def point_symbol_verdict(spec: PointSymbolSpec, seed: int = 42) -> Verdict:
     if np.any(numerical_ranks(small) != numerical_ranks(big)):
         raise ConsistencyError("pencil ranks disagree between the reduced and ambient spaces")
 
-    hyp = hypothesis_report(spec.a_re, spec.a_im, reduced, seed=seed)
-    radical = hyp.radical
+    hyp = hypothesis_report(spec.a_re, spec.a_im, reduced)
     # R scales as 1 / |T|: unit columns keep the lift of the radical above the
     # rank cut of the orthonormal ker T, whatever the scale of T
-    up = r @ radical.basis
+    up = r @ hyp.radical.basis
     lifted = Subspace.from_spanning(
-        n2, np.column_stack([up / np.linalg.norm(up, axis=0), t_rows[spec.m :].T])
+        n2, np.column_stack([up / np.linalg.norm(up, axis=0), spec.t_rows[spec.m :].T])
     )
     small_sympl = hyp.radical_status is not RadicalStatus.DEGENERATE
     big_sympl = is_symplectic_subspace(lifted, ambient).symplectic

@@ -445,7 +445,7 @@ def _cmd_dissipativity(args, payload, warnings):
 def _cmd_pencil(args, payload, warnings):
     _, a, b, _, _ = _load_forms(payload, warnings)
     try:
-        profile = rank_profile(a, b, seed=args.seed)
+        profile = rank_profile(a, b)
     except DependentPairError as exc:
         raise InputError(f"A, B: {exc}") from exc
     return {
@@ -482,7 +482,7 @@ def _cmd_witness(args, payload, warnings):
 
 def _cmd_check_heisenberg(args, payload, warnings):
     spec = _load_heisenberg(payload, warnings)
-    return _verdict_payload(heisenberg_verdict(spec, seed=args.seed)), _EXIT_OK
+    return _verdict_payload(heisenberg_verdict(spec)), _EXIT_OK
 
 
 def _cmd_check_two_step(args, payload, warnings):

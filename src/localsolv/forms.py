@@ -30,9 +30,8 @@ import numpy as np
 from ._numeric import (
     RANK_REL,
     frob,
+    kernel_split,
     numerical_rank,
-    nullspace,
-    orthonormal_columns,
     rank_tolerance,
     sym_part,
     skew_part,
@@ -250,13 +249,9 @@ class Subspace:
 
     @staticmethod
     def from_spanning(ambient_dim: int, vectors: np.ndarray) -> "Subspace":
-        """Orthonormalize arbitrary spanning columns (rank-revealing)."""
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim == 1:
-            vectors = vectors.reshape(-1, 1)
-        if vectors.size == 0:
-            return Subspace.empty(ambient_dim)
-        return Subspace(ambient_dim, orthonormal_columns(vectors))
+        """Orthonormalize arbitrary spanning columns (rank-revealing): their
+        span is the row space of the transpose."""
+        return Subspace(ambient_dim, kernel_split(np.transpose(vectors))[0])
 
 
 @dataclass(frozen=True)
@@ -323,7 +318,7 @@ def joint_radical(a: SymmetricForm, b: SymmetricForm) -> Subspace:
     """Orthonormal basis of ker A intersected with ker B."""
     _check_form_dims(a, b)
     stacked = np.vstack([a.matrix, b.matrix])
-    return Subspace(a.dim, nullspace(stacked))
+    return Subspace(a.dim, kernel_split(stacked)[1])
 
 
 def is_symplectic_subspace(

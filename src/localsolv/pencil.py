@@ -11,33 +11,33 @@ theta = atan2(|A| sin(phi), |B| cos(phi)), rho = hypot(|A| cos(theta),
 to the caller's pencil; no decision maps theta back to phi, which at
 |A| / |B| = 1e9 a float theta near pi/2 fixes only to about 1e-7.
 
-Seeded probes give maxrank r and a generic angle phi_g: one probe when its
-element has full rank n, else nine, the last eight in one stacked SVD.  For
-a generic orthonormal n x r matrix U, det(U^T M^(phi) U) vanishes at every
-angle where M^ loses rank (rank completion, Hochstenbach-Mehl-Plestenjak,
-SIMAX 2019).  So with G = U^T M^(phi_g) U and H = U^T M^(phi_g + pi/2) U,
-every drop sits at phi_g + delta (and that angle + pi, since M^(phi + pi) =
--M^(phi)) with tan(delta) = -1/lambda for a real eigenvalue lambda of
-G^-1 H.
-
-One stacked SVD confirms the candidates and gives the rank at each.  Singular
-Kronecker blocks of the pencil (Van Dooren 1979) add spurious candidates,
-which that check discards.  A candidate that fails it is refined by a
-golden-section search of the r-th singular value around it, so a drop whose
-eigenvalue is defective or ill-conditioned is not lost.
+One SVD of [A^; B^] gives the joint radical and its orthonormal complement
+Q, n x r; the rest runs on the deflated element M_r(phi) = Q^T M^(phi) Q, its
+ranks still cut as those of n x n elements.  Fixed probes give maxrank and a
+generic angle phi_g: one when its element has rank r (a regular pencil),
+else nine, the last eight in one stacked SVD.  On a basis U on which G =
+U^T M_r(phi_g) U is invertible, det(U^T M_r(phi) U) vanishes wherever M_r
+loses rank (rank completion, Hochstenbach-Mehl-Plestenjak, SIMAX 2019):
+U = I for a regular pencil, else the top maxrank right singular vectors of
+M_r(phi_g).  With H = U^T M_r(phi_g + pi/2) U, each drop sits at phi_g +
+delta (and + pi) with tan(delta) = -1/lambda for a real eigenvalue lambda of
+G^-1 H.  One stacked SVD confirms the candidates; it discards those of
+singular Kronecker blocks (Van Dooren 1979).  A candidate that fails is
+refined by a golden-section search of the maxrank-th singular value, so a
+defective or ill-conditioned drop is not lost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import golden_section_minimize, rank_tolerance, rng_for
+from ._numeric import golden_section_minimize, kernel_split, rank_tolerance
 from .errors import DependentPairError
-from .forms import SymmetricForm, span_rank
+from .forms import Subspace, SymmetricForm, congruence, span_rank
 
 __all__ = [
     "PencilReport",
@@ -47,7 +47,7 @@ __all__ = [
     "rank_profile",
 ]
 
-# Loose cut on |Im phi| for a compressed eigenvalue to give a candidate: a
+# Loose cut on |Im phi| for an eigenvalue to give a candidate: a
 # drop of multiplicity k whose eigenvalue is defective splits into a cluster
 # of width about eps**(1/k), well inside it.  The fallback search brackets a
 # candidate by the same width.
@@ -56,6 +56,12 @@ _IMAG_CUT = 1e-3
 _MERGE_GAP = 1e-6
 # Golden-section steps of the fallback: the bracket shrinks by 0.618**60.
 _FALLBACK_STEPS = 60
+# Fixed probe angles, the nine the default seed 42 drew: no rank reads a seed.
+_PROBE_ANGLES = (
+    0.8039937111526073, 3.746254582105696, 5.493420320871752,
+    3.551611573226008, 4.046797003397246, 0.3680501610592709,
+    5.875347779635972, 0.036436708324477214, 5.197509785135988,
+)
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,8 @@ class PencilReport:
     minrank: int
     drop_points: tuple[tuple[float, int], ...]
     generic_theta: float
+    # the unit pair's joint radical, from the SVD that deflates the pencil
+    radical: Subspace = field(compare=False, repr=False)
     marginal: tuple[float, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -136,58 +144,55 @@ def _element(a: SymmetricForm, b: SymmetricForm, theta: float) -> np.ndarray:
     return math.cos(theta) * a.matrix + math.sin(theta) * b.matrix
 
 
-def _spectrum(a: SymmetricForm, b: SymmetricForm, phi: float) -> np.ndarray:
-    """Singular values of the unit pair's element at phi."""
-    return np.linalg.svd(_element(a, b, phi), compute_uv=False)
-
-
 def _spectra(a: SymmetricForm, b: SymmetricForm, phis) -> np.ndarray:
-    """`_spectrum` at each angle, from one stacked SVD (row by row the same
-    values as single calls)."""
+    """Singular values of the pair's element at each angle, from one stacked
+    SVD (row by row the same values as single calls)."""
     return np.linalg.svd(np.stack([_element(a, b, float(t)) for t in phis]), compute_uv=False)
 
 
-def _rank(s: np.ndarray) -> int:
-    return int(np.count_nonzero(s > rank_tolerance(s, (len(s), len(s)))))
+def _rank(s: np.ndarray, n: int) -> int:
+    return int(np.count_nonzero(s > rank_tolerance(s, (n, n))))
 
 
-def _marginal(s: np.ndarray, rank: int) -> bool:
+def _marginal(s: np.ndarray, rank: int, n: int) -> bool:
     """The smallest kept singular value lies within 10x of the rank cut."""
-    cut = rank_tolerance(s, (len(s), len(s)))
+    cut = rank_tolerance(s, (n, n))
     return rank > 0 and cut < s[rank - 1] <= 10.0 * cut
 
 
 def _probe(
-    a: SymmetricForm, b: SymmetricForm, seed: int
+    a: SymmetricForm, b: SymmetricForm, n: int
 ) -> tuple[int, float, np.ndarray, list[str]]:
     """(maxrank, generic angle, its singular values, notes) from up to nine
-    probes of the unit pair.
+    probes of a deflated pair, its ranks cut as those of n x n elements.
 
-    The generic rank is read at a random direction.  Full rank n there ends
-    the probe, since no angle has more; otherwise eight more directions,
-    decomposed in one stacked SVD, confirm it.  The generic angle is the
-    first probe that reaches the largest rank.
+    The generic rank is read at the first fixed angle.  Full rank there ends
+    the probe: the pencil is regular, and no angle has more.  Otherwise
+    eight more angles, decomposed in one stacked SVD, confirm it.  The
+    generic angle is the first probe that reaches the largest rank.
     """
-    phis = rng_for(seed, 0x9EC1).uniform(0.0, 2.0 * math.pi, size=9)
-    first = _spectrum(a, b, float(phis[0]))
-    if _rank(first) == a.dim:
-        return a.dim, float(phis[0]), first, []
-    spectra = [first, *_spectra(a, b, phis[1:])]
-    ranks = [_rank(s) for s in spectra]
+    first = _spectra(a, b, _PROBE_ANGLES[:1])[0]
+    if _rank(first, n) == a.dim:
+        return a.dim, _PROBE_ANGLES[0], first, []
+    spectra = [first, *_spectra(a, b, _PROBE_ANGLES[1:])]
+    ranks = [_rank(s, n) for s in spectra]
     best = int(np.argmax(ranks))
     notes = []
     if min(ranks) != ranks[best]:
         notes.append("generic rank probes disagreed; keeping the largest")
-    return ranks[best], float(phis[best]), spectra[best], notes
+    return ranks[best], _PROBE_ANGLES[best], spectra[best], notes
 
 
 def _candidate_clusters(
-    a: SymmetricForm, b: SymmetricForm, phi_g: float, r: int, seed: int
+    a: SymmetricForm, b: SymmetricForm, phi_g: float, maxrank: int
 ) -> list[float]:
     """Candidate drop angles modulo pi, one per cluster of nearby eigenvalues."""
-    u, _ = np.linalg.qr(rng_for(seed, 0xC0E5).standard_normal((a.dim, r)))
-    g = u.T @ _element(a, b, phi_g) @ u
-    h = u.T @ _element(a, b, phi_g + 0.5 * math.pi) @ u
+    g = _element(a, b, phi_g)
+    h = _element(a, b, phi_g + 0.5 * math.pi)
+    if maxrank < a.dim:
+        # a singular pencil: compress onto the range of its generic element
+        u = np.linalg.svd(g)[2][:maxrank].T
+        g, h = u.T @ g @ u, u.T @ h @ u
     lam = np.linalg.eigvals(np.linalg.solve(g, h)).astype(complex)
     # tan(delta) = -1/lambda, written so that lambda = 0 gives delta = pi/2.
     # lambda = +-i (no real angle) gives an infinite imaginary part, which
@@ -211,34 +216,37 @@ def _gap_mod_pi(x: float, y: float) -> float:
     return min(gap, math.pi - gap)
 
 
-def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilReport:
+def rank_profile(a: SymmetricForm, b: SymmetricForm) -> PencilReport:
     """Generic rank, minimal nonzero rank and rank-drop directions.
 
-    Drops are the candidate angles of the compressed pencil whose element
-    has rank below maxrank, each reported with its half-turn image.  The
-    analysis runs on the unit pair (`unit_pair`), and every reported angle
-    is the caller's.
+    The analysis runs on the unit pair (`unit_pair`), deflated by its joint
+    radical, which the report carries.  Drops are the candidate angles of
+    the deflated pencil (compressed onto its generic element's range when
+    it is singular) whose element has rank below maxrank, each reported
+    with its half-turn image.  Every reported angle is the caller's.
     """
     pair = unit_pair(a, b)
     if pair.span < 2:
         raise DependentPairError("forms are linearly dependent")
-    a, b = pair.a, pair.b
-    maxrank, generic_phi, spectrum, notes = _probe(a, b, seed)
-    marginal = [pair.theta(generic_phi) % (2.0 * math.pi)] if _marginal(spectrum, maxrank) else []
+    n = a.dim
+    q, kernel = kernel_split(np.vstack([pair.a.matrix, pair.b.matrix]))
+    a, b = (pair.a, pair.b) if q.shape[1] == n else (congruence(pair.a, q), congruence(pair.b, q))
+    maxrank, generic_phi, spectrum, notes = _probe(a, b, n)
+    marginal = [pair.theta(generic_phi) % (2.0 * math.pi)] if _marginal(spectrum, maxrank, n) else []
     marginal_drops: list[float] = []
     drops: list[tuple[float, int]] = []
     found: list[float] = []
-    candidates = _candidate_clusters(a, b, generic_phi, maxrank, seed)
+    candidates = _candidate_clusters(a, b, generic_phi, maxrank)
     for psi, s in zip(candidates, _spectra(a, b, candidates) if candidates else []):
-        if _rank(s) >= maxrank:
+        if _rank(s, n) >= maxrank:
             psi, _ = golden_section_minimize(
-                lambda t: _spectrum(a, b, t)[maxrank - 1],
+                lambda t: _spectra(a, b, [t])[0, maxrank - 1],
                 psi - _IMAG_CUT,
                 psi + _IMAG_CUT,
                 _FALLBACK_STEPS,
             )
-            s = _spectrum(a, b, psi)
-        rank = _rank(s)
+            s = _spectra(a, b, [psi])[0]
+        rank = _rank(s, n)
         if rank >= maxrank:
             continue
         psi %= math.pi
@@ -249,7 +257,7 @@ def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilRe
         if math.pi - theta < 1e-8:
             theta = 0.0
         drops.extend([(theta, rank), (theta + math.pi, rank)])
-        if _marginal(s, rank):
+        if _marginal(s, rank, n):
             marginal_drops.extend([theta, theta + math.pi])
 
     drops.sort()
@@ -259,6 +267,7 @@ def rank_profile(a: SymmetricForm, b: SymmetricForm, seed: int = 42) -> PencilRe
         minrank=minrank,
         drop_points=tuple(drops),
         generic_theta=pair.theta(generic_phi) % (2.0 * math.pi),
+        radical=Subspace(n, kernel),
         marginal=tuple(marginal + sorted(marginal_drops)),
         notes=tuple(notes),
     )

@@ -635,7 +635,6 @@ def hypothesis_report(
     a: SymmetricForm,
     b: SymmetricForm,
     structure: SymplecticStructure,
-    seed: int = 42,
 ) -> HypothesisReport:
     """Aggregate the rank, radical and independence data gating the verdicts.
 
@@ -643,7 +642,8 @@ def hypothesis_report(
     minrank = 2, maxrank >= 9 and a trivial or symplectic joint radical.
     Every condition is read on the unit pair (`pencil.unit_pair`), and the
     independence of A, B and C on C times sigma_min(J), which no scaling of
-    the pairing changes; the angles in the notes are the caller's.
+    the pairing changes; the angles in the notes are the caller's.  The
+    radical is the one that deflates the pencil in `rank_profile`.
     """
     pair = unit_pair(a, b)
     if a.dim != structure.two_d:
@@ -656,8 +656,9 @@ def hypothesis_report(
         minrank = maxrank = pair.generator().rank()
         independent = False
         notes.append("pencil is one-dimensional; ranks taken from its generator")
+        radical = joint_radical(a, b)
     else:
-        profile = rank_profile(a, b, seed=seed)
+        profile = rank_profile(a, b)
         minrank, maxrank = profile.minrank, profile.maxrank
         for phi in profile.marginal:
             notes.append(f"marginal rank decision near theta={pair.theta(phi) % (2.0 * np.pi):.6f}")
@@ -666,8 +667,8 @@ def hypothesis_report(
         c = structure.sigma_min * poisson_bracket(a, b, structure).matrix
         stack = np.column_stack([a.matrix.ravel(), b.matrix.ravel(), c.ravel()])
         independent = numerical_rank(stack) == 3
+        radical = profile.radical
 
-    radical = joint_radical(a, b)
     status = radical_status(radical, structure)
 
     if minrank >= 3 and maxrank >= 17:

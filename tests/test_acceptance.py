@@ -246,7 +246,7 @@ def test_criterion_5_bracket_witnesses_both_branches():
         n = dims_one[k % len(dims_one)]
         a, b = branch_one_instance(n, seed=k)
         structure = SymplecticStructure.canonical(n)
-        report = hypothesis_report(a, b, structure, seed=k)
+        report = hypothesis_report(a, b, structure)
         assert report.branch is Branch.I, f"instance {k} missed branch I: {report}"
         assert report.nondissipative and report.independent_abc
         ok, why = _verified_bracket_witness(a, b, structure, seed=k)
@@ -264,7 +264,7 @@ def test_criterion_5_bracket_witnesses_both_branches():
         n = dims_two[k % len(dims_two)]
         a, b = branch_two_instance(n, seed=k)
         structure = SymplecticStructure.canonical(n)
-        report = hypothesis_report(a, b, structure, seed=k)
+        report = hypothesis_report(a, b, structure)
         assert report.branch is Branch.II, f"instance {k} missed branch II: {report}"
         assert report.minrank == 2 and report.maxrank >= 9
         assert report.radical_status in (RadicalStatus.TRIVIAL, RadicalStatus.SYMPLECTIC)

@@ -375,13 +375,13 @@ def test_heisenberg_one_dimensional_radical_is_degenerate(seed):
 
 
 def test_point_symbol_verdict_decomposes_each_matrix_once(monkeypatch):
-    # T and T J T^t once each, the joint radical once (on the unit pair), and
-    # the eight ambient pencil ranks in one stacked SVD
+    # T (by the spec) and T J T^t once each, the joint radical once (on the
+    # unit pair, in the SVD that deflates the pencil), and the eight ambient
+    # pencil ranks in one stacked SVD
     rng = np.random.default_rng(0xD1)
     t = rng.standard_normal((6, 10))
     a, b = traceless_pair(6, rng)
     a, b = SymmetricForm(3.0 * a.matrix), SymmetricForm(0.5 * b.matrix)
-    spec = PointSymbolSpec(5, 6, t, a, b)
     factored = {"svd": [], "inv": []}
     for name, seen in factored.items():
 
@@ -390,7 +390,7 @@ def test_point_symbol_verdict_decomposes_each_matrix_once(monkeypatch):
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
-    point_symbol_verdict(spec)
+    point_symbol_verdict(PointSymbolSpec(5, 6, t, a, b))
 
     def count(name, m):
         return sum(x.shape == m.shape and np.array_equal(x, m) for x in factored[name])

@@ -305,6 +305,28 @@ def test_reports_byte_identical_per_seed(capsys, quartet_file):
     assert other == other2
 
 
+def test_rank_results_do_not_depend_on_the_seed(capsys, tmp_path):
+    # a pair with a 2-dimensional joint radical: the rank path draws nothing
+    rng = np.random.default_rng(0x5EED)
+    a, b = traceless_pair(4, rng)
+    grow = np.linalg.qr(rng.standard_normal((6, 6)))[0][:, :4]
+    a, b = (grow @ m.matrix @ grow.T for m in (a, b))
+    inputs = {
+        "pencil": {"n": 6, "A": a.tolist(), "B": b.tolist()},
+        "check-heisenberg": {"d": 3, "A_re": a.tolist(), "A_im": b.tolist()},
+    }
+    for command, payload in inputs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(payload))
+        results = []
+        for seed in ("1", "42", "2147483647"):
+            code, report = run_json(capsys, command, str(path), "--seed", seed)
+            assert code == 0
+            results.append(report["result"])
+        assert results[0] == results[1] == results[2], command
+    assert results[0]["hypothesis"]["radical_dim"] == 2
+
+
 def test_input_error_missing_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "pencil", str(tmp_path / "absent.json"))
     assert code == 2

@@ -320,6 +320,57 @@ def test_rank_profile_jordan_block_drop():
     assert_same_drops(profile.drop_points, [(0.5 * np.pi, 1), (1.5 * np.pi, 1)], atol=1e-8)
 
 
+def singular_pair(kind):
+    """A pair whose pencil, deflated by the joint radical, is singular.
+
+    "l1": the L1 block alone.  "l2": L2 + L2^T on R^5, A = [[0, La^T],
+    [La, 0]] with La = [I_2 | 0] and Lb = [0 | I_2]: rank 4 at every angle,
+    no radical.  "l1-kernel": an L1 block, three planted classes and two
+    zero radii (a 2-dimensional radical) under a Haar congruence.  Returns
+    (A, B, maxrank, drops)."""
+    if kind == "l1":
+        a, b = l1_block()
+        return SymmetricForm(a), SymmetricForm(b), 2, []
+    if kind == "l2":
+        a, b = np.zeros((5, 5)), np.zeros((5, 5))
+        for m, l in ((a, np.eye(2, 3)), (b, np.eye(2, 3, 1))):
+            m[3:, :3], m[:3, 3:] = l, l.T
+        return SymmetricForm(a), SymmetricForm(b), 4, []
+    phi = np.array([0.2, 0.2, 1.1, 2.5, 0.0, 0.0])
+    radii = np.array([1.0, 1.5, 0.7, 1.2, 0.0, 0.0])
+    la, lb = l1_block()
+    a0 = np.block([[np.diag(radii * np.cos(phi)), np.zeros((6, 3))], [np.zeros((3, 6)), la]])
+    b0 = np.block([[np.diag(radii * np.sin(phi)), np.zeros((6, 3))], [np.zeros((3, 6)), lb]])
+    p = haar_congruence(9, np.random.default_rng(0x11))
+    drops = [(t, r + 2) for t, r in planted_drops(phi, radii)]
+    return SymmetricForm(p.T @ a0 @ p), SymmetricForm(p.T @ b0 @ p), 6, drops
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "l1-kernel"])
+def test_rank_profile_on_a_singular_deflated_pencil_matches_the_scan(kind):
+    a, b, maxrank, drops = singular_pair(kind)
+    profile = rank_profile(a, b)
+    scanned_maxrank, scanned = scan_drops(a, b)
+    assert scanned_maxrank == profile.maxrank == maxrank
+    assert_same_drops(profile.drop_points, scanned)
+    assert_same_drops(profile.drop_points, drops)
+    assert profile.minrank == min([r for _, r in drops], default=maxrank)
+    assert profile.radical.dim == (2 if kind == "l1-kernel" else 0)
+
+
+def test_rank_path_draws_nothing(monkeypatch):
+    a, b, _, _ = singular_pair("l1-kernel")
+    c = SymmetricForm(np.pad(a.matrix, ((0, 1), (0, 1))))
+    d = SymmetricForm(np.pad(b.matrix, ((0, 1), (0, 1))))
+
+    def refuse(*args):
+        raise AssertionError("a random stream was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    rank_profile(a, b)
+    assert heisenberg_verdict(HeisenbergOperatorSpec(5, c, d)).hypothesis.radical_dim == 3
+
+
 def test_rank_profile_refines_a_candidate_that_misses(monkeypatch):
     # Candidates off by up to half the loose cut fail the SVD check; the
     # golden-section fallback must still land on the drop.
@@ -336,17 +387,18 @@ def test_rank_profile_refines_a_candidate_that_misses(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# decompositions: one probe SVD at full rank, one stacked call for the rest
+# decompositions: one probe SVD on a regular deflated pencil, one stacked
+# call for the rest
 
 
-def loop_probe(a, b, seed):
-    """The reference probe: nine single SVDs, the largest rank at the first
-    angle that reaches it."""
-    phis = pencil.rng_for(seed, 0x9EC1).uniform(0.0, 2.0 * np.pi, size=9)
-    spectra = [pencil._spectrum(a, b, float(t)) for t in phis]
-    ranks = [pencil._rank(s) for s in spectra]
+def loop_probe(a, b):
+    """The reference probe: nine single SVDs at the fixed angles, the largest
+    rank at the first angle that reaches it."""
+    phis = pencil._PROBE_ANGLES
+    spectra = [np.linalg.svd(pencil._element(a, b, t), compute_uv=False) for t in phis]
+    ranks = [pencil._rank(s, a.dim) for s in spectra]
     best = int(np.argmax(ranks))
-    return ranks[best], float(phis[best]), spectra[best], min(ranks) != ranks[best]
+    return ranks[best], phis[best], spectra[best], min(ranks) != ranks[best]
 
 
 def rank_deficient_pair(n, rng):
@@ -380,9 +432,18 @@ def test_full_rank_profile_takes_one_probe_svd(n, probe_svds):
 
 
 @pytest.mark.parametrize("n", [4, 10, 20, 40])
-def test_rank_deficient_profile_stacks_the_other_eight_probes(n, probe_svds):
+def test_shared_kernel_profile_takes_one_probe_svd(n, probe_svds):
+    # the deflated pencil is regular: its first probe has full rank n - 1
     a, b = rank_deficient_pair(n, np.random.default_rng([n, 0x9EC2]))
-    assert rank_profile(a, b).maxrank == n - 1
+    profile = rank_profile(a, b)
+    assert (profile.maxrank, profile.radical.dim) == (n - 1, 1)
+    assert probe_svds == [1]
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2", "l1-kernel"])
+def test_singular_deflated_profile_stacks_the_other_eight_probes(kind, probe_svds):
+    a, b, maxrank, _ = singular_pair(kind)
+    assert rank_profile(a, b).maxrank == maxrank
     assert probe_svds == [2]
 
 
@@ -393,9 +454,8 @@ def test_probe_matches_the_loop_of_single_svds():
         n = int(rng.integers(3, 30))
         a, b = (traceless_pair if index % 2 else rank_deficient_pair)(n, rng)
         pair = pencil.unit_pair(a, b)
-        seed = int(rng.integers(0, 2**31))
-        maxrank, phi, spectrum, notes = pencil._probe(pair.a, pair.b, seed)
-        ref_rank, ref_phi, ref_spectrum, disagreed = loop_probe(pair.a, pair.b, seed)
+        maxrank, phi, spectrum, notes = pencil._probe(pair.a, pair.b, n)
+        ref_rank, ref_phi, ref_spectrum, disagreed = loop_probe(pair.a, pair.b)
         assert (maxrank, phi) == (ref_rank, ref_phi)
         assert np.array_equal(spectrum, ref_spectrum)
         # after a full-rank first probe no other probe is taken to disagree
